@@ -45,7 +45,7 @@ from .operators import (
     apply_values,
     op_name,
 )
-from .spaces import PsiStats, closure, psi
+from .spaces import PsiStats, closed_under, closure, psi
 
 EXHAUSTIVE_WIDTH_CAP = 4
 RANDOM_WIDTH_CAP = 8
@@ -197,19 +197,12 @@ def _closed_mask_coded(family: int, rows: list[int], tables: list, nchunks: int)
 
 
 def _closed_mask_direct(width: int, values: tuple[int, ...]) -> int:
+    """16-bit closure mask for a family given as its row values."""
     mask = (1 << width) - 1
     present = set(values)
     closed = 0
     for op in range(16):
-        ok = True
-        for a in values:
-            for b in values:
-                if apply_values(op, a, b, mask) not in present:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if closed_under(op, values, present, mask):
             closed |= 1 << op
     return closed
 
@@ -225,12 +218,12 @@ def _col_sums(width: int, values: tuple[int, ...]) -> list[int]:
 
 
 def _count_flip_consistent(width: int, values: tuple[int, ...]) -> bool:
-    """Column sums of a matrix and its complement flip around n/2."""
+    """Each column's ones count in the complemented rows is n minus its
+    count in the rows, counted from the complemented rows themselves."""
     n = len(values)
-    for s in _col_sums(width, values):
-        if (2 * s >= n) != (2 * (n - s) <= n):
-            return False
-    return True
+    mask = (1 << width) - 1
+    flipped = _col_sums(width, tuple(v ^ mask for v in values))
+    return all(f == n - s for s, f in zip(_col_sums(width, values), flipped))
 
 
 def _theorem_runs(
@@ -466,12 +459,19 @@ def _chunk_args(cfg: CampaignConfig) -> list[tuple]:
     return args
 
 
-def _dump_reproducers(failures: list, dump_dir: Path) -> list[str]:
+def _dump_reproducers(failures: list, config: dict, dump_dir: Path) -> list[str]:
+    """Write each failing family as a ".bm" file whose leading "#" lines
+    name the theorem, its message, the family and the campaign config
+    (values as JSON)."""
     dump_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for ref, name, _message, width, values in failures:
+    for ref, name, message, width, values in failures:
+        header = [f"# theorem: {name}", f"# message: {' '.join(message.split())}"]
+        header.append(f"# family: {ref}")
+        header += [f"# {key}: {json.dumps(value)}" for key, value in config.items()]
+        body = format_matrix(BinaryMatrix.from_values(width, values))
         path = dump_dir / f"repro-{name}-{ref}.bm"
-        path.write_text(format_matrix(BinaryMatrix.from_values(width, values)))
+        path.write_text("\n".join(header) + "\n" + body)
         paths.append(str(path))
     return paths
 
@@ -490,12 +490,21 @@ def run_campaign(cfg: CampaignConfig, dump_dir: str | Path = ".") -> CampaignSum
     else:
         if cfg.mode == "exhaustive":
             _image_tables(cfg.width)  # built before fork so workers inherit it
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+        # The fork-based pool starts every worker up front; more than one
+        # per chunk would only idle.
+        with ProcessPoolExecutor(max_workers=min(cfg.parallelism, len(chunks))) as pool:
             results = list(pool.map(_run_chunk, chunks))
     total = _merge(results)
+    config = {
+        "width": cfg.width,
+        "mode": cfg.mode,
+        "samples": cfg.sample_count if cfg.mode == "random" else None,
+        "generators": cfg.generator_count if cfg.mode == "random" else None,
+        "seed": cfg.seed,
+    }
 
     if total["failures"]:
-        paths = _dump_reproducers(total["failures"], Path(dump_dir))
+        paths = _dump_reproducers(total["failures"], config, Path(dump_dir))
         raise CampaignFailure(
             f"{len(paths)} check failure(s); reproducers written: " + ", ".join(paths),
             paths,
@@ -510,13 +519,6 @@ def run_campaign(cfg: CampaignConfig, dump_dir: str | Path = ".") -> CampaignSum
             "failed": total["theorems"][name][2],
         }
         for name in THEOREM_NAMES
-    }
-    config = {
-        "width": cfg.width,
-        "mode": cfg.mode,
-        "samples": cfg.sample_count if cfg.mode == "random" else None,
-        "generators": cfg.generator_count if cfg.mode == "random" else None,
-        "seed": cfg.seed,
     }
     return CampaignSummary(
         config=config,

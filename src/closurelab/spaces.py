@@ -16,11 +16,42 @@ from .errors import ParameterOutOfRange, PreconditionViolated
 from .operators import NEGATION, OpLike, apply_values, op_name
 
 
+def row_map(table: int, a: int, mask: int) -> tuple[int, int]:
+    """Masks (u, d) with apply_values(table, a, b, mask) == u ^ (b & d) for all b.
+
+    With the left row fixed, every operator acts column by column as
+    a constant or as b's bit, possibly negated: u = op(a, 0...0) is the
+    output where b's bit is 0, and d = u ^ op(a, 1...1) marks the
+    columns where b's bit changes it.
+    """
+    u = apply_values(table, a, 0, mask)
+    return u, u ^ apply_values(table, a, mask, mask)
+
+
+def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: int) -> bool:
+    """True iff op(a, b) is in present for every a, b in values.
+
+    One set of images {u ^ (b & d) for b} per left row a, stopping at the
+    first row whose images leave present. A row with d == 0 has the
+    single image u.
+    """
+    for a in values:
+        u, d = row_map(table, a, mask)
+        if d:
+            if not {u ^ (b & d) for b in values} <= present:
+                return False
+        elif u not in present:
+            return False
+    return True
+
+
 def is_closed(m: BinaryMatrix, op: OpLike) -> bool:
     """True iff every (ordered) operator application lands in the row set.
 
     All ordered pairs are tested, including a row with itself; the
-    diagonal matters (for NAND/NOR it produces the row's negation).
+    diagonal matters (for NAND/NOR it produces the row's negation). For
+    each left row a the images op(a, b) are u ^ (b & d) with the masks of
+    row_map, so one row's pairs are checked as one set of images.
     For the negation marker, every row's complement must be present.
     """
     values = m.row_values
@@ -28,19 +59,17 @@ def is_closed(m: BinaryMatrix, op: OpLike) -> bool:
     mask = (1 << m.width) - 1
     if op is NEGATION:
         return all(v ^ mask in present for v in values)
-    table = op.table
-    for a in values:
-        for b in values:
-            if apply_values(table, a, b, mask) not in present:
-                return False
-    return True
+    return closed_under(op.table, values, present, mask)
 
 
 def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
     """Smallest superset of the generator rows closed under op.
 
     Worklist fixed point: generator rows first, new rows appended in
-    discovery order. The result always has at most 2**width rows.
+    discovery order. Row i is paired with rows 0..i, producing op(a, b)
+    then op(b, a); each is computed as u ^ (b & d) from the masks
+    row_map gives once per row. The result always has at most 2**width
+    rows.
     """
     mask = (1 << generators.width) - 1
     rows = list(generators.row_values)
@@ -55,15 +84,22 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
             i += 1
     else:
         table = op.table
+        maps: list[tuple[int, int]] = []
         i = 0
         while i < len(rows):
             a = rows[i]
-            for j in range(i + 1):
-                b = rows[j]
-                for r in (apply_values(table, a, b, mask), apply_values(table, b, a, mask)):
-                    if r not in present:
-                        present.add(r)
-                        rows.append(r)
+            ua, da = row_map(table, a, mask)
+            maps.append((ua, da))
+            # maps has i + 1 entries, so zip stops after row i
+            for b, (ub, db) in zip(rows, maps):
+                r = ua ^ (b & da)
+                if r not in present:
+                    present.add(r)
+                    rows.append(r)
+                r = ub ^ (a & db)
+                if r not in present:
+                    present.add(r)
+                    rows.append(r)
             i += 1
     return BinaryMatrix.from_values(generators.width, rows)
 

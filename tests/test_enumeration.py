@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from closurelab import (
     ALL_OPS,
@@ -9,6 +10,8 @@ from closurelab import (
     NEGATION,
     OR,
     CampaignConfig,
+    Decomposition,
+    SetFamily,
     apply_permutations,
     closure_report,
     enumerate_families,
@@ -16,8 +19,23 @@ from closurelab import (
     parse_matrix,
     run_campaign,
 )
-from closurelab.enumeration import _closed_mask_coded, _closed_mask_direct, _image_tables
-from closurelab.errors import CampaignFailure, ParameterOutOfRange, WidthCapExceeded
+from closurelab import basis, enumeration, witnesses
+from closurelab.cli import cli
+from closurelab.enumeration import (
+    THEOREM_NAMES,
+    _chunk_args,
+    _closed_mask_coded,
+    _closed_mask_direct,
+    _image_tables,
+    _merge,
+    _run_chunk,
+)
+from closurelab.errors import (
+    CampaignFailure,
+    ParameterOutOfRange,
+    PreconditionViolated,
+    WidthCapExceeded,
+)
 
 from conftest import SEMANTICS, closed_oracle, matrix_tuples
 
@@ -195,18 +213,103 @@ def test_closure_report_id_invariant_under_equivalence():
     assert closure_report(m).matrix_id != closure_report(parse_matrix("10\n11\n")).matrix_id
 
 
-def test_campaign_failure_dumps_reproducer(tmp_path, monkeypatch):
-    import closurelab.witnesses as witnesses_module
+def reproducer_header(text: str) -> dict[str, str]:
+    """The "# key: value" comment lines at the top of a reproducer."""
+    header = {}
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            break
+        key, _, value = line[1:].strip().partition(": ")
+        header[key] = value
+    return header
 
+
+def test_campaign_failure_dumps_reproducer(tmp_path, monkeypatch):
     def broken(matrix):
         raise PreconditionViolated("injected failure")
 
-    from closurelab.errors import PreconditionViolated
-
-    monkeypatch.setattr(witnesses_module, "negation_witness", broken)
+    monkeypatch.setattr(witnesses, "negation_witness", broken)
     cfg = CampaignConfig(width=1, mode="exhaustive", parallelism=1)
     with pytest.raises(CampaignFailure) as exc:
         run_campaign(cfg, dump_dir=tmp_path)
     assert exc.value.reproducers
-    dumped = parse_matrix((tmp_path / exc.value.reproducers[0].split("/")[-1]).read_text())
+    path = tmp_path / exc.value.reproducers[0].split("/")[-1]
+    text = path.read_text()
+    dumped = parse_matrix(text)
     assert is_closed(dumped, NEGATION)
+    header = reproducer_header(text)
+    assert header["theorem"] == "negation_lemma"
+    assert header["message"] == "injected failure"
+    assert path.name == f"repro-negation_lemma-{header['family']}.bm"
+    assert json.loads(header["width"]) == 1
+    assert json.loads(header["mode"]) == "exhaustive"
+    assert json.loads(header["seed"]) is None
+
+
+_REAL_COL_SUMS = enumeration._col_sums
+_REAL_MEMBERS = SetFamily.members
+_REAL_IS_CLOSED = witnesses.is_closed
+
+
+def _miscount_complements(width, values):
+    # The exhaustive stream yields rows ascending, so complemented rows of a
+    # multi-row family come out descending: count one extra one there.
+    sums = _REAL_COL_SUMS(width, values)
+    return [s + 1 for s in sums] if list(values) != sorted(values) else sums
+
+
+#: Per theorem, one broken proof step: (owner, attribute, replacement).
+BROKEN_STEPS = {
+    "negation_lemma": (witnesses, "column_sum", lambda m, j: 0),
+    "nand_reduction": (witnesses, "column_sum", lambda m, j: 0),
+    "nor_reduction": (witnesses, "column_sum", lambda m, j: 0),
+    "xnor_group": (witnesses, "apply_values", lambda table, a, b, mask: 1),
+    "xor_group": (witnesses, "apply_values", lambda table, a, b, mask: 1),
+    "topology": (SetFamily, "members", lambda f: _REAL_MEMBERS(f) * 2),
+    "material_conditional": (
+        witnesses, "decompose", lambda row, b: Decomposition(frozenset())
+    ),
+    "tilde_preconditions": (basis, "tilde_matrix", lambda m: m),
+    "imp_implies_or": (
+        witnesses, "is_closed", lambda m, op: op is not OR and _REAL_IS_CLOSED(m, op)
+    ),
+    "complement_count_flip": (enumeration, "_col_sums", _miscount_complements),
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREM_NAMES)
+def test_every_theorem_check_can_fail(theorem, tmp_path, monkeypatch):
+    owner, attribute, replacement = BROKEN_STEPS[theorem]
+    monkeypatch.setattr(owner, attribute, replacement)
+    cfg = CampaignConfig(width=2, mode="exhaustive")
+    total = _merge([_run_chunk(c) for c in _chunk_args(cfg)])
+    assert total["theorems"][theorem][2] > 0
+
+    monkeypatch.setenv("CLOSURELAB_DUMP_DIR", str(tmp_path))
+    result = CliRunner().invoke(cli, ["campaign", "--width", "2"])
+    assert result.exit_code == 1
+    dumped = sorted(tmp_path.glob(f"repro-{theorem}-*.bm"))
+    assert dumped
+    assert reproducer_header(dumped[0].read_text())["theorem"] == theorem
+
+
+def test_pool_workers_are_clamped_to_the_chunk_count(monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    wide = run_campaign(CampaignConfig(width=2, mode="exhaustive", parallelism=500))
+    assert requested == [15]  # width 2 splits into one chunk per family
+    assert wide.to_json() == run_campaign(CampaignConfig(width=2, mode="exhaustive")).to_json()

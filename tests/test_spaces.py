@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurelab import (
     ABJ,
@@ -21,7 +23,9 @@ from closurelab import (
     psi,
     random_space,
 )
+from closurelab.enumeration import _closed_mask_direct, _neg_closed
 from closurelab.errors import ParameterOutOfRange, PreconditionViolated
+from closurelab.operators import apply_values
 
 from conftest import (
     SEMANTICS,
@@ -61,6 +65,84 @@ def test_is_closed_matches_oracle_randomly():
         op = ALL_OPS[rng.randrange(16)]
         assert is_closed(m, op) == closed_oracle(matrix_tuples(m), op.output)
         assert is_closed(m, NEGATION) == neg_closed_oracle(matrix_tuples(m))
+
+
+# --- the affine kernel against the tuple oracle -------------------------------
+
+_KERNEL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+#: Op indices 0..15 are truth tables; 16 stands for negation.
+_OPS = ALL_OPS + (NEGATION,)
+
+
+def assert_kernel_matches_oracle(m: BinaryMatrix) -> None:
+    """is_closed, _closed_mask_direct and _neg_closed agree with the oracle
+    on every truth table and on negation."""
+    rows = matrix_tuples(m)
+    expected = sum(1 << op.table for op in ALL_OPS if closed_oracle(rows, op.output))
+    assert _closed_mask_direct(m.width, m.row_values) == expected
+    for op in ALL_OPS:
+        assert is_closed(m, op) == bool(expected >> op.table & 1), op
+    neg = neg_closed_oracle(rows)
+    assert is_closed(m, NEGATION) == neg
+    assert _neg_closed(m.width, m.row_values) == neg
+
+
+@st.composite
+def generators(draw, max_rows=3):
+    width = draw(st.integers(1, 8))
+    values = draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=max_rows, unique=True)
+    )
+    return BinaryMatrix.from_values(width, values)
+
+
+@_KERNEL
+@given(gens=generators(), op_index=st.integers(0, 16))
+def test_kernel_matches_oracle_on_closures(gens, op_index):
+    assert_kernel_matches_oracle(closure(gens, _OPS[op_index]))
+
+
+@_KERNEL
+@given(m=generators(max_rows=20))
+def test_kernel_matches_oracle_on_random_sets(m):
+    assert_kernel_matches_oracle(m)
+
+
+@_KERNEL
+@given(m=generators(max_rows=1))
+def test_kernel_matches_oracle_on_single_rows(m):
+    assert_kernel_matches_oracle(m)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_kernel_matches_oracle_on_the_full_space(width):
+    assert_kernel_matches_oracle(BinaryMatrix.from_values(width, range(1 << width)))
+
+
+def closure_reference(generators: BinaryMatrix, op) -> tuple[int, ...]:
+    """The pair-loop closure: row i against rows 0..i, op(a, b) then op(b, a),
+    one apply_values call per ordered pair."""
+    mask = (1 << generators.width) - 1
+    rows = list(generators.row_values)
+    present = set(rows)
+    i = 0
+    while i < len(rows):
+        a = rows[i]
+        for j in range(i + 1):
+            b = rows[j]
+            for r in (apply_values(op.table, a, b, mask), apply_values(op.table, b, a, mask)):
+                if r not in present:
+                    present.add(r)
+                    rows.append(r)
+        i += 1
+    return tuple(rows)
+
+
+@_KERNEL
+@given(gens=generators(max_rows=4), table=st.integers(0, 15))
+def test_closure_row_order_matches_pair_loop_reference(gens, table):
+    op = ALL_OPS[table]
+    assert closure(gens, op).row_values == closure_reference(gens, op)
 
 
 def test_closure_or_join():
