@@ -32,8 +32,6 @@ from .bitcore import (
 from .enumeration import (
     CampaignConfig,
     CampaignSummary,
-    ClosureReport,
-    closure_report,
     enumerate_families,
     run_campaign,
 )

@@ -157,4 +157,8 @@ def tilde_closure_properties(m: BinaryMatrix) -> bool:
     """
     if not is_closed(m, IMP):
         raise PreconditionViolated("rows are not closed under the material conditional")
+    return _tilde_closure_core(m)
+
+
+def _tilde_closure_core(m: BinaryMatrix) -> bool:
     return check_basis_preconditions(tilde_matrix(m))

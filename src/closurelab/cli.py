@@ -37,15 +37,9 @@ from .errors import (
     PreconditionViolated,
     VerificationFailed,
 )
-from .operators import ALL_OPS, NAND, NEGATION, NOR, XNOR, XOR, op_name, parse_op
+from .operators import ALL_OPS, NEGATION, op_name, parse_op
 from .spaces import closure, counterexample_block, counterexample_identity, is_closed, psi
-from .witnesses import (
-    conditional_witness,
-    group_witness,
-    negation_witness,
-    sheffer_reduction,
-    topology_witness,
-)
+from .witnesses import THEOREMS
 
 _VERIFY_ERRORS = (
     PreconditionViolated,
@@ -258,51 +252,36 @@ def basis_cmd(input, fmt, output):
         _emit_kv(lines, output)
 
 
-_WITNESS_NAMES = ("not", "nand", "nor", "xor", "xnor", "imp", "topology")
+_WITNESSES = {t.verb: t.witness for t in THEOREMS if t.verb}
 
 
 @cli.command("witness")
-@click.argument("operator", type=click.Choice(_WITNESS_NAMES))
+@click.argument("operator", type=click.Choice(list(_WITNESSES)))
 @_INPUT
 @_FORMAT
 @_OUTPUT
 def witness_cmd(operator, input, fmt, output):
     """Certified column (or element) covering at least half the rows."""
+    witness = _WITNESSES[operator]
     try:
         if operator == "topology":
+            # The one family verb: its certificate names an element.
             family = _load_family(input)
-            element = topology_witness(family)
+            column = witness(family)
             members = family.members()
-            cert = {
-                "operator": "topology",
-                "column_or_element": element,
-                "ones": sum(1 for s in members if element in s),
-                "n": len(members),
-                "verified": True,
-            }
+            ones, n = sum(1 for s in members if column in s), len(members)
         else:
-            m = _load_matrix(input)
-            if operator == "not":
-                w = negation_witness(m)
-            elif operator == "nand":
-                w = sheffer_reduction(m, NAND)
-            elif operator == "nor":
-                w = sheffer_reduction(m, NOR)
-            elif operator == "xor":
-                w = group_witness(m, XOR)
-            elif operator == "xnor":
-                w = group_witness(m, XNOR)
-            else:
-                w = conditional_witness(m)
-            cert = {
-                "operator": operator,
-                "column_or_element": w.column,
-                "ones": w.ones,
-                "n": w.total_rows,
-                "verified": True,
-            }
+            w = witness(_load_matrix(input))
+            column, ones, n = w.column, w.ones, w.total_rows
     except _VERIFY_ERRORS as exc:
         _fail(1, str(exc))
+    cert = {
+        "operator": operator,
+        "column_or_element": column,
+        "ones": ones,
+        "n": n,
+        "verified": True,
+    }
     if fmt == "json":
         _emit_json(cert, output)
     else:

@@ -12,7 +12,6 @@ fixed chunks and partial results are merged in chunk order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -20,10 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from . import witnesses
-from .basis import tilde_closure_properties
-from .bitcore import BinaryMatrix, format_matrix, matrix_to_family
-from .equivalence import canonicalize
+from .bitcore import BinaryMatrix, format_matrix
 from .errors import (
     CampaignFailure,
     ClosureLabError,
@@ -45,7 +41,8 @@ from .operators import (
     apply_values,
     op_name,
 )
-from .spaces import PsiStats, closed_under, closure, psi
+from .spaces import closed_under, closure
+from .witnesses import THEOREMS
 
 EXHAUSTIVE_WIDTH_CAP = 4
 RANDOM_WIDTH_CAP = 8
@@ -53,22 +50,17 @@ RANDOM_WIDTH_CAP = 8
 #: Operators a random campaign closes its generators under.
 RANDOM_OPS = (NEGATION, AND, OR, XOR, XNOR, NAND, NOR, IMP, ABJ)
 
-#: Proved statements re-checked on every family whose hypothesis holds.
-THEOREM_NAMES = (
-    "negation_lemma",
-    "nand_reduction",
-    "nor_reduction",
-    "xnor_group",
-    "xor_group",
-    "topology",
-    "material_conditional",
-    "tilde_preconditions",
-    "imp_implies_or",
-    "complement_count_flip",
-)
+#: Proved statements re-checked on every family whose hypothesis holds:
+#: the theorem table, then the count flip every non-zero family gets.
+THEOREM_NAMES = tuple(t.name for t in THEOREMS) + ("complement_count_flip",)
 
 _NEG_BIT = 16  # closed_under mask bit for negation
-_NEG_BIT_MASK = 1 << _NEG_BIT
+
+#: Each table row with its hypothesis as bits of closed16 | neg << _NEG_BIT.
+_HYPOTHESIS_MASKS = tuple(
+    (t, sum(1 << (_NEG_BIT if op is NEGATION else op.table) for op in t.hypothesis))
+    for t in THEOREMS
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,18 +96,6 @@ class CampaignConfig:
                 raise ParameterOutOfRange("generator_count must be >= 1")
         if self.parallelism < 1:
             raise ParameterOutOfRange("parallelism must be >= 1")
-
-
-@dataclass(frozen=True, slots=True)
-class ClosureReport:
-    """Per-matrix classification: closures, column stats, theorem checks."""
-
-    matrix_id: str
-    n: int
-    m: int
-    closed_under: int
-    psi: PsiStats
-    theorem_checks: dict[str, str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,10 +214,11 @@ def _theorem_runs(
     A runner returns a truthy certificate or True on success; it raises
     a package error (or returns False) on failure. Hypotheses follow the
     statements exactly: closure under the named operator(s) and a
-    non-zero matrix.
+    non-zero matrix. Both are known here, so runners call the proof
+    cores, which do not prove the hypothesis again; the cores share one
+    matrix, built on first use.
     """
-    non_zero = any(values)
-    if not non_zero:
+    if not any(values):
         return []
     cell: list[BinaryMatrix] = []
 
@@ -246,61 +227,16 @@ def _theorem_runs(
             cell.append(BinaryMatrix.from_values(width, values))
         return cell[0]
 
-    runs: list[tuple[str, Callable[[], object]]] = []
-    if neg_closed:
-        runs.append(("negation_lemma", lambda: witnesses.negation_witness(mat())))
-    if closed16 & (1 << NAND.table):
-        runs.append(("nand_reduction", lambda: witnesses.sheffer_reduction(mat(), NAND)))
-    if closed16 & (1 << NOR.table):
-        runs.append(("nor_reduction", lambda: witnesses.sheffer_reduction(mat(), NOR)))
-    if closed16 & (1 << XNOR.table):
-        runs.append(("xnor_group", lambda: witnesses.group_witness(mat(), XNOR)))
-    if closed16 & (1 << XOR.table):
-        runs.append(("xor_group", lambda: witnesses.group_witness(mat(), XOR)))
-    if closed16 & (1 << AND.table) and closed16 & (1 << OR.table):
-        runs.append(("topology", lambda: witnesses.topology_witness(matrix_to_family(mat()))))
-    if closed16 & (1 << IMP.table):
-        runs.append(("material_conditional", lambda: witnesses.conditional_witness(mat())))
-        runs.append(("tilde_preconditions", lambda: tilde_closure_properties(mat())))
-        runs.append(("imp_implies_or", lambda: witnesses.imp_implies_or_closed(mat())))
+    closed = closed16 | neg_closed << _NEG_BIT
+    runs: list[tuple[str, Callable[[], object]]] = [
+        (t.name, lambda core=t.core: core(mat()))
+        for t, mask in _HYPOTHESIS_MASKS
+        if closed & mask == mask
+    ]
+    # Checked on (width, values): a matrix per tiny exhaustive family
+    # would cost more than the check itself.
     runs.append(("complement_count_flip", lambda: _count_flip_consistent(width, values)))
     return runs
-
-
-def closure_report(matrix: BinaryMatrix) -> ClosureReport:
-    """Full classification of one matrix.
-
-    The matrix id is the hex digest of the canonical form, so equivalent
-    matrices share an id. theorem_checks holds only applicable theorems
-    ("pass"/"fail"); the union-closed half-membership check is included
-    under "union_closed_frankl" when the rows are OR-closed and non-zero.
-    """
-    width = matrix.width
-    values = matrix.row_values
-    closed16 = _closed_mask_direct(width, values)
-    neg = _neg_closed(width, values)
-    canon = canonicalize(matrix).matrix
-    matrix_id = hashlib.sha256(format_matrix(canon).encode()).hexdigest()
-
-    checks: dict[str, str] = {}
-    for name, runner in _theorem_runs(width, values, closed16, neg):
-        try:
-            checks[name] = "pass" if runner() else "fail"
-        except ClosureLabError:
-            checks[name] = "fail"
-    if closed16 & (1 << OR.table) and matrix.non_zero:
-        n = len(values)
-        ok = 2 * max(_col_sums(width, values)) >= n
-        checks["union_closed_frankl"] = "pass" if ok else "fail"
-
-    return ClosureReport(
-        matrix_id=matrix_id,
-        n=matrix.n_rows,
-        m=width,
-        closed_under=closed16 | (_NEG_BIT_MASK if neg else 0),
-        psi=psi(matrix),
-        theorem_checks=checks,
-    )
 
 
 # --- family streams ---------------------------------------------------------
@@ -324,6 +260,31 @@ def _close_sample(width: int, op_table: int, gens: tuple[int, ...]) -> tuple[int
     return closure(BinaryMatrix.from_values(width, unique), op).row_values
 
 
+def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int, bool]]:
+    """One chunk's families as (ref, rows, closed16, neg_closed).
+
+    Exhaustive chunks walk family codes (one bit per possible row, rows
+    in increasing binary order) and classify them with the coded image
+    tables; random chunks close their seeded generators and classify
+    the row values directly.
+    """
+    mode, width, part = args
+    if mode == "exhaustive":
+        size = 1 << width
+        tables = _image_tables(width)
+        nchunks = (size + 7) // 8
+        mask = size - 1
+        for code in part:
+            rows = [r for r in range(size) if (code >> r) & 1]
+            closed16 = _closed_mask_coded(code, rows, tables, nchunks)
+            neg = all((code >> (r ^ mask)) & 1 for r in rows)
+            yield f"f{code}", tuple(rows), closed16, neg
+    else:
+        for index, op_table, gens in part:
+            values = _close_sample(width, op_table, gens)
+            yield f"s{index}", values, _closed_mask_direct(width, values), _neg_closed(width, values)
+
+
 def enumerate_families(cfg: CampaignConfig) -> Iterator[BinaryMatrix]:
     """Stream the campaign's families as matrices.
 
@@ -331,14 +292,9 @@ def enumerate_families(cfg: CampaignConfig) -> Iterator[BinaryMatrix]:
     exactly once, rows in increasing binary order, family codes
     ascending. Random mode yields the seeded generator closures.
     """
-    if cfg.mode == "exhaustive":
-        size = 1 << cfg.width
-        for code in range(1, 1 << size):
-            values = [r for r in range(size) if (code >> r) & 1]
-            yield BinaryMatrix.from_values(cfg.width, values)
-    else:
-        for _, op_table, gens in _draw_samples(cfg):
-            yield BinaryMatrix.from_values(cfg.width, _close_sample(cfg.width, op_table, gens))
+    for args in _chunk_args(cfg):
+        for _, rows, _, _ in _chunk_families(args):
+            yield BinaryMatrix.from_values(cfg.width, rows)
 
 
 # --- campaign ----------------------------------------------------------------
@@ -397,24 +353,8 @@ def _check_family(
 
 def _run_chunk(args: tuple) -> dict:
     agg = _new_aggregate()
-    if args[0] == "exhaustive":
-        _, width, start, end = args
-        size = 1 << width
-        tables = _image_tables(width)
-        nchunks = (size + 7) // 8
-        mask = size - 1
-        for code in range(start, end):
-            rows = [r for r in range(size) if (code >> r) & 1]
-            closed16 = _closed_mask_coded(code, rows, tables, nchunks)
-            neg = all((code >> (r ^ mask)) & 1 for r in rows)
-            _check_family(width, f"f{code}", tuple(rows), closed16, neg, agg)
-    else:
-        _, width, samples = args
-        for index, op_table, gens in samples:
-            values = _close_sample(width, op_table, gens)
-            closed16 = _closed_mask_direct(width, values)
-            neg = _neg_closed(width, values)
-            _check_family(width, f"s{index}", values, closed16, neg, agg)
+    for ref, rows, closed16, neg in _chunk_families(args):
+        _check_family(args[1], ref, rows, closed16, neg, agg)
     return agg
 
 
@@ -435,26 +375,19 @@ def _merge(aggs: list[dict]) -> dict:
 
 
 def _chunk_args(cfg: CampaignConfig) -> list[tuple]:
-    """Fixed work split, independent of the worker count."""
+    """Fixed work split, independent of the worker count: (mode, width,
+    part) with part a range of family codes or a list of drawn samples."""
     if cfg.mode == "exhaustive":
-        total = (1 << (1 << cfg.width)) - 1
-        parts = min(64, total)
-        base, extra = divmod(total, parts)
-        args = []
-        start = 1
-        for p in range(parts):
-            size = base + (1 if p < extra else 0)
-            args.append(("exhaustive", cfg.width, start, start + size))
-            start += size
-        return args
-    samples = _draw_samples(cfg)
-    parts = min(64, len(samples))
-    base, extra = divmod(len(samples), parts)
+        items = range(1, 1 << (1 << cfg.width))
+    else:
+        items = _draw_samples(cfg)
+    parts = min(64, len(items))
+    base, extra = divmod(len(items), parts)
     args = []
     start = 0
     for p in range(parts):
         size = base + (1 if p < extra else 0)
-        args.append(("random", cfg.width, samples[start : start + size]))
+        args.append((cfg.mode, cfg.width, items[start : start + size]))
         start += size
     return args
 

@@ -6,14 +6,25 @@ half the rows, re-verified by independent recount before returning.
 A failed hypothesis raises PreconditionViolated; a failed internal step
 raises VerificationFailed and means a bug, since the theorems guarantee
 success on every valid input.
+
+Every public witness is a gate followed by a core. The gate proves the
+hypothesis (closure under the theorem's operators, and a non-zero
+matrix where the statement needs one) and raises PreconditionViolated
+when it fails. The private core assumes the hypothesis and runs the
+proof. THEOREMS lists each theorem once: its name, its `closurelab
+witness` verb, the operators of its hypothesis, its core and its public
+witness. A campaign already knows every family's closures, so it checks
+a row's hypothesis from those bits and calls the core directly; the
+`witness` verb calls the public witness of the row named by its verb.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .basis import compute_basis, decompose
-from .bitcore import BinaryMatrix, SetFamily, column_sum
+from .basis import _tilde_closure_core, compute_basis, decompose
+from .bitcore import BinaryMatrix, SetFamily, column_sum, matrix_to_family
 from .errors import (
     AllEmpty,
     GroupAxiomFailed,
@@ -21,6 +32,7 @@ from .errors import (
     VerificationFailed,
 )
 from .operators import (
+    AND,
     IMP,
     NAND,
     NEGATION,
@@ -29,6 +41,7 @@ from .operators import (
     XNOR,
     XOR,
     BoolOp,
+    OpLike,
     apply_values,
     op_name,
     tilde_matrix,
@@ -72,6 +85,10 @@ def negation_witness(m: BinaryMatrix) -> FranklWitness:
     """
     if not is_closed(m, NEGATION):
         raise PreconditionViolated("rows are not closed under negation")
+    return _negation_core(m)
+
+
+def _negation_core(m: BinaryMatrix) -> FranklWitness:
     values = m.row_values
     n = len(values)
     mask = (1 << m.width) - 1
@@ -99,12 +116,16 @@ def sheffer_reduction(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
         raise ValueError(f"expected NAND or NOR, got {op_name(op)}")
     if not is_closed(m, op):
         raise PreconditionViolated(f"rows are not closed under {op_name(op)}")
+    return _sheffer_core(m)
+
+
+def _sheffer_core(m: BinaryMatrix) -> FranklWitness:
     values = set(m.row_values)
     mask = (1 << m.width) - 1
     for v in m.row_values:
         if v ^ mask not in values:
             raise VerificationFailed("diagonal application did not yield a present negation")
-    return negation_witness(m)
+    return _negation_core(m)
 
 
 def group_witness(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
@@ -123,6 +144,10 @@ def group_witness(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
         raise PreconditionViolated(f"rows are not closed under {op_name(op)}")
     if not m.non_zero:
         raise PreconditionViolated("the all-zero matrix is not a space")
+    return _group_core(m, op)
+
+
+def _group_core(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
     values = set(m.row_values)
     mask = (1 << m.width) - 1
     n = m.n_rows
@@ -160,7 +185,6 @@ def topology_witness(f: SetFamily) -> int:
     satisfied is demanded.
     """
     members = f.members()
-    n = len(members)
     member_set = set(members)
     for a in members:
         for b in members:
@@ -169,10 +193,15 @@ def topology_witness(f: SetFamily) -> int:
             meet = a & b
             if meet and meet not in member_set:
                 raise PreconditionViolated("family is not closed under nonempty intersection")
-    nonempty = [s for s in members if s]
-    if not nonempty:
+    if not any(members):
         raise AllEmpty("every member is the empty set; no element exists")
-    b = min(nonempty, key=lambda s: (len(s), tuple(sorted(s))))
+    return _topology_core(f)
+
+
+def _topology_core(f: SetFamily) -> int:
+    members = f.members()
+    n = len(members)
+    b = min((s for s in members if s), key=lambda s: (len(s), tuple(sorted(s))))
     contains = []
     misses = []
     for a in members:
@@ -207,6 +236,10 @@ def conditional_witness(m: BinaryMatrix) -> FranklWitness:
         raise PreconditionViolated("rows are not closed under the material conditional")
     if not m.non_zero:
         raise PreconditionViolated("the all-zero matrix is not a space")
+    return _conditional_core(m)
+
+
+def _conditional_core(m: BinaryMatrix) -> FranklWitness:
     n = m.n_rows
     tilde = tilde_matrix(m)
     basis = compute_basis(tilde)  # preconditions guaranteed; raises if not
@@ -252,6 +285,10 @@ def imp_implies_or_closed(m: BinaryMatrix) -> bool:
     """
     if not is_closed(m, IMP):
         raise PreconditionViolated("rows are not closed under the material conditional")
+    return _imp_implies_or_core(m)
+
+
+def _imp_implies_or_core(m: BinaryMatrix) -> bool:
     mask = (1 << m.width) - 1
     values = m.row_values
     tilde_set = {v ^ mask for v in values}
@@ -262,3 +299,40 @@ def imp_implies_or_closed(m: BinaryMatrix) -> bool:
     if intermediate != direct:
         raise VerificationFailed("complement-side and direct OR-closure disagree")
     return direct
+
+
+@dataclass(frozen=True, slots=True)
+class Theorem:
+    """One proved statement: rows closed under every hypothesis operator,
+    in a non-zero matrix, make the core's check pass."""
+
+    name: str
+    verb: str | None  # `closurelab witness` verb, None when there is none
+    hypothesis: tuple[OpLike, ...]
+    core: Callable[[BinaryMatrix], object]
+    witness: Callable | None  # the gated public form behind the verb
+
+
+#: Rows in `closurelab witness` verb order; the campaign also runs them
+#: in this order.
+THEOREMS = (
+    Theorem("negation_lemma", "not", (NEGATION,), _negation_core, negation_witness),
+    Theorem("nand_reduction", "nand", (NAND,), _sheffer_core, lambda m: sheffer_reduction(m, NAND)),
+    Theorem("nor_reduction", "nor", (NOR,), _sheffer_core, lambda m: sheffer_reduction(m, NOR)),
+    Theorem(
+        "xor_group", "xor", (XOR,), lambda m: _group_core(m, XOR), lambda m: group_witness(m, XOR)
+    ),
+    Theorem(
+        "xnor_group", "xnor", (XNOR,), lambda m: _group_core(m, XNOR),
+        lambda m: group_witness(m, XNOR),
+    ),
+    Theorem("material_conditional", "imp", (IMP,), _conditional_core, conditional_witness),
+    Theorem("tilde_preconditions", None, (IMP,), _tilde_closure_core, None),
+    Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core, None),
+    # The campaign hypothesis is AND and OR; the public witness gates on
+    # the weaker union and nonempty-intersection closure of the family.
+    Theorem(
+        "topology", "topology", (AND, OR), lambda m: _topology_core(matrix_to_family(m)),
+        topology_witness,
+    ),
+)

@@ -157,6 +157,19 @@ def test_witness_topology(tmp_path):
     data = json.loads(invoke("witness", "topology", path).output)
     assert data["column_or_element"] == 1
     assert data["ones"] == 2 and data["n"] == 3
+    # {1}, {2}, {1,2} is not AND-closed, but the witness demands only
+    # nonempty intersections.
+    path = write(tmp_path, "u.fam", "ground 2\n1\n2\n1 2\n")
+    result = invoke("witness", "topology", path)
+    assert result.exit_code == 0
+    assert json.loads(result.output)["column_or_element"] == 1
+
+
+def test_witness_verbs_in_usage_order(tmp_path):
+    path = write(tmp_path, "n.bm", "01\n10\n")
+    result = invoke("witness", "nope", path)
+    assert result.exit_code == 2
+    assert "'not', 'nand', 'nor', 'xor', 'xnor', 'imp', 'topology'" in result.output
 
 
 def test_convert_round_trip(tmp_path):

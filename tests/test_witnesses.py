@@ -22,6 +22,7 @@ from closurelab import (
     is_closed,
     matrix_to_family,
     negation_witness,
+    op_name,
     parse_matrix,
     random_space,
     sheffer_reduction,
@@ -30,10 +31,13 @@ from closurelab import (
     topology_witness,
 )
 from closurelab.errors import AllEmpty, PreconditionViolated
+from closurelab.witnesses import THEOREMS
 
 from conftest import (
+    SEMANTICS,
     all_families,
     close_sets_oracle,
+    closed_oracle,
     column_count_oracle,
     family_matrix,
     matrix_tuples,
@@ -284,3 +288,58 @@ def test_imp_implies_or_closed():
         assert is_closed(m, OR)
     with pytest.raises(PreconditionViolated):
         imp_implies_or_closed(parse_matrix("10\n01\n"))
+
+
+def meets_gate_hypothesis(theorem, m) -> bool:
+    """The hypothesis a public witness's gate demands, by the tuple oracles."""
+    if theorem.verb == "topology":
+        members = matrix_to_family(m).members()
+        return close_sets_oracle(members) == set(members)
+    tuples = matrix_tuples(m)
+    return all(
+        neg_closed_oracle(tuples) if op is NEGATION else closed_oracle(tuples, SEMANTICS[op_name(op)])
+        for op in theorem.hypothesis
+    )
+
+
+@pytest.mark.parametrize("theorem", [t for t in THEOREMS if t.verb], ids=lambda t: t.verb)
+def test_gated_witness_matches_its_core(theorem):
+    # Every non-zero width-3 family that meets the gate's hypothesis: the
+    # public witness (gate then core) and the core give one certificate.
+    seen = 0
+    for values in all_families(3):
+        m = family_matrix(3, values)
+        if not m.non_zero or not meets_gate_hypothesis(theorem, m):
+            continue
+        seen += 1
+        public = theorem.witness(matrix_to_family(m) if theorem.verb == "topology" else m)
+        assert public == theorem.core(m), values
+    assert seen
+
+
+#: Per witness verb, rows that fail its gate and the message it raises.
+GATE_FAILURES = {
+    "not": [("10\n11\n", "rows are not closed under negation")],
+    "nand": [("01\n10\n", "rows are not closed under nand")],
+    "nor": [("00\n11\n01\n", "rows are not closed under nor")],
+    "xor": [
+        ("110\n011\n", "rows are not closed under xor"),
+        ("00\n", "the all-zero matrix is not a space"),
+    ],
+    "xnor": [("110\n011\n", "rows are not closed under xnor")],
+    "imp": [(EXAMPLE1, "rows are not closed under the material conditional")],
+    "topology": [
+        ("100\n010\n", "family is not closed under union"),
+        ("110\n011\n111\n", "family is not closed under nonempty intersection"),
+    ],
+}
+
+
+@pytest.mark.parametrize("theorem", [t for t in THEOREMS if t.verb], ids=lambda t: t.verb)
+def test_gated_witness_still_rejects_a_failed_hypothesis(theorem):
+    for text, message in GATE_FAILURES[theorem.verb]:
+        m = parse_matrix(text)
+        with pytest.raises(PreconditionViolated) as exc:
+            theorem.witness(matrix_to_family(m) if theorem.verb == "topology" else m)
+        assert str(exc.value) == message
+
