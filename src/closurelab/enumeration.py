@@ -3,9 +3,11 @@
 Exhaustive mode walks every nonempty set of distinct width-m rows
 (encoded as a 2**m-bit integer, one bit per possible row), classifies
 each under all sixteen binary operators plus negation, and runs every
-theorem whose hypothesis holds. Random mode draws seeded generator rows,
-closes them under a drawn operator, and feeds the results through the
-same checks. Campaign output is deterministic for a given config and
+theorem whose hypothesis holds; a chunk of family codes is classified
+at once with row presence vectors. Random mode draws seeded generator
+rows, closes them under a drawn operator, classifies each family with
+the affine kernel of spaces, and feeds the results through the same
+checks. Campaign output is deterministic for a given config and
 seed, independent of the worker count: the family space is split into
 fixed chunks and partial results are merged in chunk order.
 """
@@ -38,10 +40,9 @@ from .operators import (
     XNOR,
     XOR,
     BoolOp,
-    apply_values,
     op_name,
 )
-from .spaces import closed_under, closure
+from .spaces import closed_under, closure, row_map
 from .witnesses import THEOREMS
 
 EXHAUSTIVE_WIDTH_CAP = 4
@@ -121,59 +122,52 @@ class CampaignSummary:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
-# --- fast closure classification over row codes -----------------------------
-
-_TABLE_CACHE: dict[int, list] = {}
+# --- closure classification ------------------------------------------------
 
 
-def _image_tables(width: int) -> list:
-    """tables[op][a][chunk][byte]: results forced by pairing row a with
-    every row in an 8-code chunk selected by the byte."""
-    cached = _TABLE_CACHE.get(width)
-    if cached is not None:
-        return cached
-    size = 1 << width
-    mask = size - 1
-    nchunks = (size + 7) // 8
+def _image_tables(width: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """Per truth table, the (a, b, op(a, b)) triples of width-m rows whose
+    image is neither operand (only those can leave a family)."""
+    mask = (1 << width) - 1
+    rows = range(mask + 1)
     tables = []
     for op in range(16):
-        per_a = []
-        for a in range(size):
-            chunks = []
-            for ci in range(nchunks):
-                base = ci * 8
-                single = [
-                    (1 << apply_values(op, a, base + k, mask)) if base + k < size else 0
-                    for k in range(8)
-                ]
-                arr = [0] * 256
-                for byte in range(1, 256):
-                    low = byte & -byte
-                    arr[byte] = arr[byte ^ low] | single[low.bit_length() - 1]
-                chunks.append(arr)
-            per_a.append(chunks)
-        tables.append(per_a)
-    _TABLE_CACHE[width] = tables
+        triples = []
+        for a in rows:
+            u, d = row_map(op, a, mask)
+            triples += [(a, b, r) for b in rows if (r := u ^ (b & d)) != a and r != b]
+        tables.append(tuple(triples))
     return tables
 
 
-def _closed_mask_coded(family: int, rows: list[int], tables: list, nchunks: int) -> int:
-    """16-bit closure mask for a family given as a row-code bitmask."""
-    chunk_bytes = [(family >> (8 * ci)) & 255 for ci in range(nchunks)]
-    closed = 0
-    not_family = ~family
-    for op in range(16):
-        t = tables[op]
-        for a in rows:
-            ta = t[a]
-            req = 0
-            for ci in range(nchunks):
-                req |= ta[ci][chunk_bytes[ci]]
-            if req & not_family:
-                break
-        else:
-            closed |= 1 << op
-    return closed
+def _bit_columns(words: range | list[int], length: int) -> list[str]:
+    """Column j of the words written as length-bit strings, last word
+    first: bit i of int(column, 2) is bit length - 1 - j of words[i]."""
+    return ["".join(col) for col in zip(*(format(w, f"0{length}b") for w in reversed(words)))]
+
+
+def _closed_mask_coded(width: int, codes: range) -> list[int]:
+    """closed16 | neg << _NEG_BIT for each family code, a chunk at a time.
+
+    Bit i of presence[r] says whether row r is in family codes[i]. A
+    family leaves closure under op exactly where presence[a] &
+    presence[b] & ~presence[r] is set for some image triple (a, b, r);
+    negation, mask bit _NEG_BIT, is the same test over the triples
+    (r, r, r ^ mask).
+    """
+    size = 1 << width
+    mask = size - 1
+    full = (1 << len(codes)) - 1
+    presence = [int(col, 2) for col in reversed(_bit_columns(codes, size))]
+    absent = [full ^ p for p in presence]
+    negation = tuple((r, r, r ^ mask) for r in range(size))
+    closed = []  # one vector per mask bit
+    for triples in (*_image_tables(width), negation):
+        leaves = 0
+        for a, b, r in triples:
+            leaves |= presence[a] & presence[b] & absent[r]
+        closed.append(full ^ leaves)
+    return [int(col, 2) for col in reversed(_bit_columns(closed, len(codes)))]
 
 
 def _closed_mask_direct(width: int, values: tuple[int, ...]) -> int:
@@ -207,16 +201,16 @@ def _count_flip_consistent(width: int, values: tuple[int, ...]) -> bool:
 
 
 def _theorem_runs(
-    width: int, values: tuple[int, ...], closed16: int, neg_closed: bool
+    width: int, values: tuple[int, ...], closed: int
 ) -> list[tuple[str, Callable[[], object]]]:
     """Applicable theorem checks for one family, as (name, runner) pairs.
 
     A runner returns a truthy certificate or True on success; it raises
     a package error (or returns False) on failure. Hypotheses follow the
-    statements exactly: closure under the named operator(s) and a
-    non-zero matrix. Both are known here, so runners call the proof
-    cores, which do not prove the hypothesis again; the cores share one
-    matrix, built on first use.
+    statements exactly: closure under the named operator(s), read from
+    closed (closed16 | neg << _NEG_BIT), and a non-zero matrix. Both
+    are known here, so runners call the proof cores, which do not prove
+    the hypothesis again; the cores share one matrix, built on first use.
     """
     if not any(values):
         return []
@@ -227,7 +221,6 @@ def _theorem_runs(
             cell.append(BinaryMatrix.from_values(width, values))
         return cell[0]
 
-    closed = closed16 | neg_closed << _NEG_BIT
     runs: list[tuple[str, Callable[[], object]]] = [
         (t.name, lambda core=t.core: core(mat()))
         for t, mask in _HYPOTHESIS_MASKS
@@ -260,29 +253,25 @@ def _close_sample(width: int, op_table: int, gens: tuple[int, ...]) -> tuple[int
     return closure(BinaryMatrix.from_values(width, unique), op).row_values
 
 
-def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int, bool]]:
-    """One chunk's families as (ref, rows, closed16, neg_closed).
+def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int]]:
+    """One chunk's families as (ref, rows, closed16 | neg << _NEG_BIT).
 
     Exhaustive chunks walk family codes (one bit per possible row, rows
-    in increasing binary order) and classify them with the coded image
-    tables; random chunks close their seeded generators and classify
-    the row values directly.
+    in increasing binary order) and classify the whole chunk at once
+    with row presence vectors; random chunks close their seeded
+    generators and classify each family's row values with the affine
+    kernel.
     """
     mode, width, part = args
     if mode == "exhaustive":
-        size = 1 << width
-        tables = _image_tables(width)
-        nchunks = (size + 7) // 8
-        mask = size - 1
-        for code in part:
-            rows = [r for r in range(size) if (code >> r) & 1]
-            closed16 = _closed_mask_coded(code, rows, tables, nchunks)
-            neg = all((code >> (r ^ mask)) & 1 for r in rows)
-            yield f"f{code}", tuple(rows), closed16, neg
+        rows = range(1 << width)
+        for code, closed in zip(part, _closed_mask_coded(width, part)):
+            yield f"f{code}", tuple(r for r in rows if code >> r & 1), closed
     else:
         for index, op_table, gens in part:
             values = _close_sample(width, op_table, gens)
-            yield f"s{index}", values, _closed_mask_direct(width, values), _neg_closed(width, values)
+            closed = _closed_mask_direct(width, values) | _neg_closed(width, values) << _NEG_BIT
+            yield f"s{index}", values, closed
 
 
 def enumerate_families(cfg: CampaignConfig) -> Iterator[BinaryMatrix]:
@@ -293,7 +282,7 @@ def enumerate_families(cfg: CampaignConfig) -> Iterator[BinaryMatrix]:
     ascending. Random mode yields the seeded generator closures.
     """
     for args in _chunk_args(cfg):
-        for _, rows, _, _ in _chunk_families(args):
+        for _, rows, _ in _chunk_families(args):
             yield BinaryMatrix.from_values(cfg.width, rows)
 
 
@@ -315,18 +304,17 @@ def _check_family(
     width: int,
     ref: str,
     values: tuple[int, ...],
-    closed16: int,
-    neg: bool,
+    closed: int,
     agg: dict,
 ) -> None:
     agg["families"] += 1
     for op in range(16):
-        if closed16 & (1 << op):
+        if closed & (1 << op):
             agg["ops"][op] += 1
-    if neg:
+    if closed >> _NEG_BIT:
         agg["not"] += 1
 
-    for name, runner in _theorem_runs(width, values, closed16, neg):
+    for name, runner in _theorem_runs(width, values, closed):
         counts = agg["theorems"][name]
         counts[0] += 1
         try:
@@ -341,7 +329,7 @@ def _check_family(
             counts[2] += 1
             agg["failures"].append((ref, name, message, width, list(values)))
 
-    if closed16 & (1 << OR.table) and any(values):
+    if closed & (1 << OR.table) and any(values):
         agg["frankl"][0] += 1
         n = len(values)
         if 2 * max(_col_sums(width, values)) < n:
@@ -353,8 +341,8 @@ def _check_family(
 
 def _run_chunk(args: tuple) -> dict:
     agg = _new_aggregate()
-    for ref, rows, closed16, neg in _chunk_families(args):
-        _check_family(args[1], ref, rows, closed16, neg, agg)
+    for ref, rows, closed in _chunk_families(args):
+        _check_family(args[1], ref, rows, closed, agg)
     return agg
 
 
@@ -421,10 +409,9 @@ def run_campaign(cfg: CampaignConfig, dump_dir: str | Path = ".") -> CampaignSum
     if cfg.parallelism == 1:
         results = [_run_chunk(c) for c in chunks]
     else:
-        if cfg.mode == "exhaustive":
-            _image_tables(cfg.width)  # built before fork so workers inherit it
-        # The fork-based pool starts every worker up front; more than one
-        # per chunk would only idle.
+        # The pool starts every worker up front; more than one per chunk
+        # would only idle. Workers share no state, so any start method
+        # gives the same results.
         with ProcessPoolExecutor(max_workers=min(cfg.parallelism, len(chunks))) as pool:
             results = list(pool.map(_run_chunk, chunks))
     total = _merge(results)

@@ -1,5 +1,7 @@
+import functools
 import json
-import random
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from click.testing import CliRunner
@@ -20,12 +22,13 @@ from closurelab import (
 from closurelab import basis, enumeration, witnesses
 from closurelab.cli import cli
 from closurelab.enumeration import (
+    _NEG_BIT,
     THEOREM_NAMES,
     _chunk_args,
     _closed_mask_coded,
     _closed_mask_direct,
-    _image_tables,
     _merge,
+    _neg_closed,
     _run_chunk,
 )
 from closurelab.errors import (
@@ -70,20 +73,30 @@ def test_or_closed_set_matches_bruteforce_oracle():
     assert summary.closed_under["or"] == len(ours)
 
 
+def direct_masks(width, codes):
+    size = 1 << width
+    masks = []
+    for code in codes:
+        rows = tuple(r for r in range(size) if code >> r & 1)
+        masks.append(_closed_mask_direct(width, rows) | _neg_closed(width, rows) << _NEG_BIT)
+    return masks
+
+
 def test_coded_closure_mask_matches_direct():
-    # The byte-table fast path against the straightforward pairwise scan,
-    # at every width exhaustive mode runs. No proof re-checks these bits.
-    for width, samples in ((1, None), (2, None), (3, 120), (4, 2000)):
-        size = 1 << width
-        tables = _image_tables(width)
-        nchunks = (size + 7) // 8
-        rng = random.Random(width)
-        codes = range(1, 1 << size) if samples is None else rng.sample(range(1, 1 << size), samples)
-        for code in codes:
-            rows = [r for r in range(size) if (code >> r) & 1]
-            assert _closed_mask_coded(code, rows, tables, nchunks) == _closed_mask_direct(
-                width, tuple(rows)
-            )
+    # The chunked presence-vector kernel against the per-family affine
+    # kernel, at every width exhaustive mode runs. No proof re-checks
+    # these bits. Widths 1-3: every code, in ranges of lengths 1, 2, 3,
+    # ... from unaligned starts; width 4: three of the campaign's parts.
+    for width in (1, 2, 3):
+        stop = 1 << (1 << width)
+        start, length = 1, 1
+        while start < stop:
+            part = range(start, min(start + length, stop))
+            assert _closed_mask_coded(width, part) == direct_masks(width, part), part
+            start, length = part.stop, length + 1
+    parts = [part for _, _, part in _chunk_args(CampaignConfig(width=4, mode="exhaustive"))]
+    for part in (parts[0], parts[len(parts) // 2], parts[-1]):
+        assert _closed_mask_coded(4, part) == direct_masks(4, part), part
 
 
 def test_negation_closed_families_split_columns_evenly():
@@ -134,6 +147,16 @@ def test_campaign_deterministic_across_workers():
     one = run_campaign(CampaignConfig(width=2, mode="exhaustive", parallelism=1))
     four = run_campaign(CampaignConfig(width=2, mode="exhaustive", parallelism=4))
     assert one.to_json() == four.to_json()
+
+
+def test_parallel_campaign_is_deterministic_under_spawn(monkeypatch):
+    # Spawned workers start from a fresh interpreter and inherit nothing
+    # from the parent process.
+    serial = run_campaign(CampaignConfig(width=3, mode="exhaustive", parallelism=1))
+    spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", spawn)
+    parallel = run_campaign(CampaignConfig(width=3, mode="exhaustive", parallelism=2))
+    assert parallel.to_json() == serial.to_json()
 
 
 def test_campaign_random_mode_deterministic():
