@@ -138,8 +138,7 @@ def check_closure_cmd(input, op_text, fmt, output):
         if not closed:
             sys.exit(1)
         return
-    status = {op_name(op): is_closed(m, op) for op in ALL_OPS}
-    status["not"] = is_closed(m, NEGATION)
+    status = {op_name(op): is_closed(m, op) for op in (*ALL_OPS, NEGATION)}
     if fmt == "json":
         _emit_json({"closed_under": status}, output)
     else:

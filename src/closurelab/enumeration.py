@@ -2,18 +2,21 @@
 
 Exhaustive mode walks every nonempty set of distinct width-m rows
 (encoded as a 2**m-bit integer, one bit per possible row), classifies
-each under all sixteen binary operators plus negation, and runs every
-theorem whose hypothesis holds; a chunk of family codes is classified
-at once with row presence vectors. Random mode draws seeded generator
-rows, closes them under a drawn operator, classifies each family with
-the affine kernel of spaces, and feeds the results through the same
-checks. Campaign output is deterministic for a given config and
-seed, independent of the worker count: the family space is split into
-fixed chunks and partial results are merged in chunk order.
+each under all sixteen binary operators, and runs every theorem whose
+hypothesis holds; a chunk of family codes is classified at once with
+row presence vectors. Negation needs no case of its own: it is truth
+table 3, so a family's classification is one 16-bit mask. Random mode
+draws seeded generator rows, closes them under a drawn operator,
+classifies each family with the affine kernel of spaces, and feeds the
+results through the same checks. Campaign output is deterministic for
+a given config and seed, independent of the worker count: the family
+space is split into fixed chunks and partial results are merged in
+chunk order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -55,13 +58,11 @@ RANDOM_OPS = (NEGATION, AND, OR, XOR, XNOR, NAND, NOR, IMP, ABJ)
 #: the theorem table, then the count flip every non-zero family gets.
 THEOREM_NAMES = tuple(t.name for t in THEOREMS) + ("complement_count_flip",)
 
-_NEG_BIT = 16  # closed_under mask bit for negation
+#: Each table row with its hypothesis as bits of the 16-bit closure mask.
+_HYPOTHESIS_MASKS = tuple((t, sum(1 << op.table for op in t.hypothesis)) for t in THEOREMS)
 
-#: Each table row with its hypothesis as bits of closed16 | neg << _NEG_BIT.
-_HYPOTHESIS_MASKS = tuple(
-    (t, sum(1 << (_NEG_BIT if op is NEGATION else op.table) for op in t.hypothesis))
-    for t in THEOREMS
-)
+#: (mask bit, summary name) of every counted closure; "not" reads bit 3.
+_CLOSED_NAMES = tuple((op.table, op_name(op)) for op in (*ALL_OPS, NEGATION))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +126,11 @@ class CampaignSummary:
 # --- closure classification ------------------------------------------------
 
 
-def _image_tables(width: int) -> list[tuple[tuple[int, int, int], ...]]:
+@functools.cache
+def _image_tables(width: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Per truth table, the (a, b, op(a, b)) triples of width-m rows whose
-    image is neither operand (only those can leave a family)."""
+    image is neither operand (only those can leave a family). Built once
+    per process and width."""
     mask = (1 << width) - 1
     rows = range(mask + 1)
     tables = []
@@ -137,7 +140,7 @@ def _image_tables(width: int) -> list[tuple[tuple[int, int, int], ...]]:
             u, d = row_map(op, a, mask)
             triples += [(a, b, r) for b in rows if (r := u ^ (b & d)) != a and r != b]
         tables.append(tuple(triples))
-    return tables
+    return tuple(tables)
 
 
 def _bit_columns(words: range | list[int], length: int) -> list[str]:
@@ -147,22 +150,18 @@ def _bit_columns(words: range | list[int], length: int) -> list[str]:
 
 
 def _closed_mask_coded(width: int, codes: range) -> list[int]:
-    """closed16 | neg << _NEG_BIT for each family code, a chunk at a time.
+    """The 16-bit closure mask of each family code, a chunk at a time.
 
     Bit i of presence[r] says whether row r is in family codes[i]. A
     family leaves closure under op exactly where presence[a] &
-    presence[b] & ~presence[r] is set for some image triple (a, b, r);
-    negation, mask bit _NEG_BIT, is the same test over the triples
-    (r, r, r ^ mask).
+    presence[b] & ~presence[r] is set for some image triple (a, b, r).
+    Negation needs no triples of its own: it is table 3, op(a, b) = not a.
     """
-    size = 1 << width
-    mask = size - 1
     full = (1 << len(codes)) - 1
-    presence = [int(col, 2) for col in reversed(_bit_columns(codes, size))]
+    presence = [int(col, 2) for col in reversed(_bit_columns(codes, 1 << width))]
     absent = [full ^ p for p in presence]
-    negation = tuple((r, r, r ^ mask) for r in range(size))
     closed = []  # one vector per mask bit
-    for triples in (*_image_tables(width), negation):
+    for triples in _image_tables(width):
         leaves = 0
         for a, b, r in triples:
             leaves |= presence[a] & presence[b] & absent[r]
@@ -181,6 +180,7 @@ def _closed_mask_direct(width: int, values: tuple[int, ...]) -> int:
     return closed
 
 
+# Only the tracer's enumeration.classify role still names this.
 def _neg_closed(width: int, values: tuple[int, ...]) -> bool:
     mask = (1 << width) - 1
     present = set(values)
@@ -208,9 +208,10 @@ def _theorem_runs(
     A runner returns a truthy certificate or True on success; it raises
     a package error (or returns False) on failure. Hypotheses follow the
     statements exactly: closure under the named operator(s), read from
-    closed (closed16 | neg << _NEG_BIT), and a non-zero matrix. Both
-    are known here, so runners call the proof cores, which do not prove
-    the hypothesis again; the cores share one matrix, built on first use.
+    the 16-bit closure mask closed (negation is bit 3), and a non-zero
+    matrix. Both are known here, so runners call the proof cores, which
+    do not prove the hypothesis again; the cores share one matrix, built
+    on first use.
     """
     if not any(values):
         return []
@@ -236,25 +237,24 @@ def _theorem_runs(
 
 
 def _draw_samples(cfg: CampaignConfig) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Seeded (index, op_table, generator_values) triples; -1 is negation."""
+    """Seeded (index, op_table, generator_values) triples; negation is 3."""
     rng = random.Random(cfg.seed)
     size = 1 << cfg.width
     samples = []
     for i in range(cfg.sample_count):
         op = RANDOM_OPS[rng.randrange(len(RANDOM_OPS))]
         gens = tuple(rng.randrange(size) for _ in range(cfg.generator_count))
-        samples.append((i, -1 if op is NEGATION else op.table, gens))
+        samples.append((i, op.table, gens))
     return samples
 
 
 def _close_sample(width: int, op_table: int, gens: tuple[int, ...]) -> tuple[int, ...]:
-    op = NEGATION if op_table == -1 else BoolOp(op_table)
     unique = tuple(dict.fromkeys(gens))
-    return closure(BinaryMatrix.from_values(width, unique), op).row_values
+    return closure(BinaryMatrix.from_values(width, unique), BoolOp(op_table)).row_values
 
 
 def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int]]:
-    """One chunk's families as (ref, rows, closed16 | neg << _NEG_BIT).
+    """One chunk's families as (ref, rows, 16-bit closure mask).
 
     Exhaustive chunks walk family codes (one bit per possible row, rows
     in increasing binary order) and classify the whole chunk at once
@@ -270,8 +270,7 @@ def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int]]:
     else:
         for index, op_table, gens in part:
             values = _close_sample(width, op_table, gens)
-            closed = _closed_mask_direct(width, values) | _neg_closed(width, values) << _NEG_BIT
-            yield f"s{index}", values, closed
+            yield f"s{index}", values, _closed_mask_direct(width, values)
 
 
 def enumerate_families(cfg: CampaignConfig) -> Iterator[BinaryMatrix]:
@@ -290,12 +289,14 @@ def enumerate_families(cfg: CampaignConfig) -> Iterator[BinaryMatrix]:
 
 
 def _new_aggregate() -> dict:
+    """Counts in the summary's own shape, plus the failures to dump."""
     return {
         "families": 0,
-        "ops": [0] * 16,
-        "not": 0,
-        "theorems": {name: [0, 0, 0] for name in THEOREM_NAMES},
-        "frankl": [0, 0],
+        "closed_under": {name: 0 for _, name in _CLOSED_NAMES},
+        "theorems": {
+            name: {"applicable": 0, "passed": 0, "failed": 0} for name in THEOREM_NAMES
+        },
+        "frankl": {"or_closed_nonzero": 0, "failures": 0},
         "failures": [],
     }
 
@@ -308,15 +309,14 @@ def _check_family(
     agg: dict,
 ) -> None:
     agg["families"] += 1
-    for op in range(16):
-        if closed & (1 << op):
-            agg["ops"][op] += 1
-    if closed >> _NEG_BIT:
-        agg["not"] += 1
+    closed_under = agg["closed_under"]
+    for bit, name in _CLOSED_NAMES:
+        if closed >> bit & 1:
+            closed_under[name] += 1
 
     for name, runner in _theorem_runs(width, values, closed):
         counts = agg["theorems"][name]
-        counts[0] += 1
+        counts["applicable"] += 1
         try:
             ok = bool(runner())
             message = "" if ok else "check returned false"
@@ -324,16 +324,16 @@ def _check_family(
             ok = False
             message = str(exc)
         if ok:
-            counts[1] += 1
+            counts["passed"] += 1
         else:
-            counts[2] += 1
+            counts["failed"] += 1
             agg["failures"].append((ref, name, message, width, list(values)))
 
     if closed & (1 << OR.table) and any(values):
-        agg["frankl"][0] += 1
+        agg["frankl"]["or_closed_nonzero"] += 1
         n = len(values)
         if 2 * max(_col_sums(width, values)) < n:
-            agg["frankl"][1] += 1
+            agg["frankl"]["failures"] += 1
             agg["failures"].append(
                 (ref, "union_closed_frankl", "no column reaches half the rows", width, list(values))
             )
@@ -347,18 +347,19 @@ def _run_chunk(args: tuple) -> dict:
 
 
 def _merge(aggs: list[dict]) -> dict:
+    """Sum chunk aggregates key by key, in chunk order: counts add and
+    failure lists concatenate."""
+
+    def add(total: dict, part: dict) -> None:
+        for key, value in part.items():
+            if isinstance(value, dict):
+                add(total[key], value)
+            else:
+                total[key] += value
+
     total = _new_aggregate()
     for agg in aggs:
-        total["families"] += agg["families"]
-        for i in range(16):
-            total["ops"][i] += agg["ops"][i]
-        total["not"] += agg["not"]
-        for name in THEOREM_NAMES:
-            for i in range(3):
-                total["theorems"][name][i] += agg["theorems"][name][i]
-        total["frankl"][0] += agg["frankl"][0]
-        total["frankl"][1] += agg["frankl"][1]
-        total["failures"].extend(agg["failures"])
+        add(total, agg)
     return total
 
 
@@ -415,6 +416,7 @@ def run_campaign(cfg: CampaignConfig, dump_dir: str | Path = ".") -> CampaignSum
         with ProcessPoolExecutor(max_workers=min(cfg.parallelism, len(chunks))) as pool:
             results = list(pool.map(_run_chunk, chunks))
     total = _merge(results)
+    failures = total.pop("failures")
     config = {
         "width": cfg.width,
         "mode": cfg.mode,
@@ -423,30 +425,11 @@ def run_campaign(cfg: CampaignConfig, dump_dir: str | Path = ".") -> CampaignSum
         "seed": cfg.seed,
     }
 
-    if total["failures"]:
-        paths = _dump_reproducers(total["failures"], config, Path(dump_dir))
+    if failures:
+        paths = _dump_reproducers(failures, config, Path(dump_dir))
         raise CampaignFailure(
             f"{len(paths)} check failure(s); reproducers written: " + ", ".join(paths),
             paths,
         )
 
-    closed_under = {op_name(op): total["ops"][op.table] for op in ALL_OPS}
-    closed_under["not"] = total["not"]
-    theorems = {
-        name: {
-            "applicable": total["theorems"][name][0],
-            "passed": total["theorems"][name][1],
-            "failed": total["theorems"][name][2],
-        }
-        for name in THEOREM_NAMES
-    }
-    return CampaignSummary(
-        config=config,
-        families=total["families"],
-        closed_under=closed_under,
-        theorems=theorems,
-        frankl={
-            "or_closed_nonzero": total["frankl"][0],
-            "failures": total["frankl"][1],
-        },
-    )
+    return CampaignSummary(config=config, **total)

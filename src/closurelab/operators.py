@@ -3,7 +3,9 @@
 An operator is identified by its 4-bit truth table: bit (2a + b) of the
 table is the output on the input pair (a, b). Named aliases cover the
 classical connectives; every table is built from its defining lambda
-rather than a hand-written constant.
+rather than a hand-written constant. Negation carries truth table 3,
+op(a, b) = not a, since a row set is closed under one exactly when it
+is closed under the other.
 """
 
 from __future__ import annotations
@@ -33,9 +35,15 @@ class BoolOp:
 
 
 class _Negation:
-    """Marker for elementwise unary negation in operator positions."""
+    """Marker for elementwise unary negation in operator positions.
+
+    Its table is 3, op(a, b) = not a: every row's complement is an image
+    (pair the row with anything), and every image is some row's
+    complement, so closure under not a is closure under negation.
+    """
 
     __slots__ = ()
+    table = 3
 
     def __repr__(self) -> str:
         return "NEGATION"

@@ -51,15 +51,12 @@ def is_closed(m: BinaryMatrix, op: OpLike) -> bool:
     All ordered pairs are tested, including a row with itself; the
     diagonal matters (for NAND/NOR it produces the row's negation). For
     each left row a the images op(a, b) are u ^ (b & d) with the masks of
-    row_map, so one row's pairs are checked as one set of images.
-    For the negation marker, every row's complement must be present.
+    row_map, so one row's pairs are checked as one set of images. The
+    negation marker is truth table 3, whose only image of row a is its
+    complement.
     """
     values = m.row_values
-    present = set(values)
-    mask = (1 << m.width) - 1
-    if op is NEGATION:
-        return all(v ^ mask in present for v in values)
-    return closed_under(op.table, values, present, mask)
+    return closed_under(op.table, values, set(values), (1 << m.width) - 1)
 
 
 def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
@@ -68,13 +65,15 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
     Worklist fixed point: generator rows first, new rows appended in
     discovery order. Row i is paired with rows 0..i, producing op(a, b)
     then op(b, a); each is computed as u ^ (b & d) from the masks
-    row_map gives once per row. The result always has at most 2**width
-    rows.
+    row_map gives once per row. Under negation (table 3, op(a, b) = not
+    a) the only new row that pairing can find is row i's complement, so
+    one image per row gives the same rows in the same order without the
+    quadratic pair loop. The result always has at most 2**width rows.
     """
     mask = (1 << generators.width) - 1
     rows = list(generators.row_values)
     present = set(rows)
-    if op is NEGATION:
+    if op.table == NEGATION.table:
         i = 0
         while i < len(rows):
             c = rows[i] ^ mask

@@ -76,13 +76,16 @@ _OPS = ALL_OPS + (NEGATION,)
 
 def assert_kernel_matches_oracle(m: BinaryMatrix) -> None:
     """is_closed, _closed_mask_direct and _neg_closed agree with the oracle
-    on every truth table and on negation."""
+    on every truth table and on negation, and negation closure is closure
+    under tables 3 (not a) and 5 (not b)."""
     rows = matrix_tuples(m)
     expected = sum(1 << op.table for op in ALL_OPS if closed_oracle(rows, op.output))
     assert _closed_mask_direct(m.width, m.row_values) == expected
     for op in ALL_OPS:
         assert is_closed(m, op) == bool(expected >> op.table & 1), op
     neg = neg_closed_oracle(rows)
+    assert neg == closed_oracle(rows, lambda a, b: 1 - a) == closed_oracle(rows, lambda a, b: 1 - b)
+    assert bool(expected >> 3 & 1) == bool(expected >> 5 & 1) == neg
     assert is_closed(m, NEGATION) == neg
     assert _neg_closed(m.width, m.row_values) == neg
 
@@ -139,9 +142,9 @@ def closure_reference(generators: BinaryMatrix, op) -> tuple[int, ...]:
 
 
 @_KERNEL
-@given(gens=generators(max_rows=4), table=st.integers(0, 15))
-def test_closure_row_order_matches_pair_loop_reference(gens, table):
-    op = ALL_OPS[table]
+@given(gens=generators(max_rows=4), op_index=st.integers(0, 16))
+def test_closure_row_order_matches_pair_loop_reference(gens, op_index):
+    op = _OPS[op_index]
     assert closure(gens, op).row_values == closure_reference(gens, op)
 
 
