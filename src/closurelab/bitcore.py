@@ -3,7 +3,9 @@
 A row is stored as an unsigned integer, most significant bit first:
 the text "0110" is the row with value 0b0110 and column 1 on the left.
 Reading a row's text as a binary literal therefore gives its stored
-value. Columns and set elements are 1-based throughout.
+value. A matrix stores its rows packed, as a tuple of such integers; a
+set family is a matrix whose rows are read as subsets, row k's column j
+marking element j. Columns and set elements are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ from .errors import (
 WIDTH_CAP = 64
 
 
+def _check_width(width) -> None:
+    if not isinstance(width, int) or width < 1:
+        raise ValueError(f"width must be a positive integer, got {width!r}")
+    if width > WIDTH_CAP:
+        raise WidthCapExceeded(f"width {width} exceeds cap {WIDTH_CAP}")
+
+
 @dataclass(frozen=True, slots=True)
 class BitRow:
     """One row of a binary matrix; doubles as a subset of [width]."""
@@ -34,10 +43,7 @@ class BitRow:
     value: int
 
     def __post_init__(self):
-        if not isinstance(self.width, int) or self.width < 1:
-            raise ValueError(f"width must be a positive integer, got {self.width!r}")
-        if self.width > WIDTH_CAP:
-            raise WidthCapExceeded(f"width {self.width} exceeds cap {WIDTH_CAP}")
+        _check_width(self.width)
         if not isinstance(self.value, int) or not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value!r} out of range for width {self.width}")
 
@@ -73,70 +79,67 @@ class BitRow:
 
 @dataclass(frozen=True, slots=True)
 class BinaryMatrix:
-    """An ordered collection of distinct equal-width rows."""
+    """An ordered collection of distinct equal-width rows, stored packed.
+
+    row_values holds each row as its integer value (see the module
+    docstring); `rows` builds BitRow objects from them on demand.
+    """
 
     width: int
-    rows: tuple[BitRow, ...]
+    row_values: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.rows:
+        width, values = self.width, self.row_values
+        _check_width(width)
+        if not values:
             raise Empty("a matrix needs at least one row")
-        seen = set()
-        for row in self.rows:
-            if row.width != self.width:
-                raise WidthMismatch(
-                    f"row {row} has width {row.width}, expected {self.width}"
-                )
-            if row.value in seen:
-                raise DuplicateRow(f"duplicate row {row}")
-            seen.add(row.value)
+        limit = 1 << width
+        for v in values:
+            if not isinstance(v, int) or not 0 <= v < limit:
+                raise ValueError(f"value {v!r} out of range for width {width}")
+        if len(set(values)) != len(values):
+            seen = set()
+            for v in values:
+                if v in seen:
+                    raise DuplicateRow(f"duplicate row {v:0{width}b}")
+                seen.add(v)
 
     @classmethod
     def from_values(cls, width: int, values: Iterable[int]) -> "BinaryMatrix":
-        return cls(width, tuple(BitRow(width, v) for v in values))
+        return cls(width, tuple(values))
+
+    @property
+    def rows(self) -> tuple[BitRow, ...]:
+        return tuple(BitRow(self.width, v) for v in self.row_values)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def row_values(self) -> tuple[int, ...]:
-        return tuple(r.value for r in self.rows)
+        return len(self.row_values)
 
     @property
     def non_zero(self) -> bool:
         """True iff at least one bit anywhere in the matrix is 1."""
-        return any(r.value for r in self.rows)
+        return any(self.row_values)
 
 
-@dataclass(frozen=True, slots=True)
-class SetFamily:
-    """An ordered family of distinct subsets of [ground_size].
+def _elements(width: int, value: int) -> list[int]:
+    """The 1-based columns where a row has a 1, ascending."""
+    return [j for j in range(1, width + 1) if (value >> (width - j)) & 1]
 
-    Each member is held as its characteristic vector: element k of the
-    ground set corresponds to column k of the vector.
+
+class SetFamily(BinaryMatrix):
+    """A matrix read as an ordered family of distinct subsets of [width].
+
+    Each member is its row: element k of the ground set is column k.
+    A family never equals the plain matrix with the same rows.
     """
 
-    ground_size: int
-    sets: tuple[BitRow, ...]
-
-    def __post_init__(self):
-        if not self.sets:
-            raise Empty("a family needs at least one member")
-        seen = set()
-        for vec in self.sets:
-            if vec.width != self.ground_size:
-                raise WidthMismatch(
-                    f"member {vec} has width {vec.width}, expected {self.ground_size}"
-                )
-            if vec.value in seen:
-                raise DuplicateRow(f"duplicate member {vec}")
-            seen.add(vec.value)
+    __slots__ = ()
 
     @classmethod
     def from_members(cls, ground_size: int, members: Iterable[Iterable[int]]) -> "SetFamily":
         """Build a family from iterables of 1-based elements."""
-        vecs = []
+        values = []
         for member in members:
             value = 0
             for e in member:
@@ -145,20 +148,12 @@ class SetFamily:
                         f"element {e!r} outside [1, {ground_size}]"
                     )
                 value |= 1 << (ground_size - e)
-            vecs.append(BitRow(ground_size, value))
-        return cls(ground_size, tuple(vecs))
+            values.append(value)
+        return cls(ground_size, tuple(values))
 
     def members(self) -> tuple[frozenset[int], ...]:
         """Members as frozensets of 1-based elements."""
-        out = []
-        for vec in self.sets:
-            out.append(
-                frozenset(
-                    j for j in range(1, self.ground_size + 1)
-                    if (vec.value >> (self.ground_size - j)) & 1
-                )
-            )
-        return tuple(out)
+        return tuple(frozenset(_elements(self.width, v)) for v in self.row_values)
 
 
 def make_matrix(rows: Sequence[BitRow]) -> BinaryMatrix:
@@ -169,17 +164,21 @@ def make_matrix(rows: Sequence[BitRow]) -> BinaryMatrix:
     """
     if not rows:
         raise Empty("no rows given")
-    return BinaryMatrix(rows[0].width, tuple(rows))
+    width = rows[0].width
+    for row in rows:
+        if row.width != width:
+            raise WidthMismatch(f"row {row} has width {row.width}, expected {width}")
+    return BinaryMatrix(width, tuple(row.value for row in rows))
 
 
 def family_to_matrix(f: SetFamily) -> BinaryMatrix:
     """Matrix whose row i is the characteristic vector of member i."""
-    return BinaryMatrix(f.ground_size, f.sets)
+    return BinaryMatrix(f.width, f.row_values)
 
 
 def matrix_to_family(m: BinaryMatrix) -> SetFamily:
     """Inverse of family_to_matrix; round-trips exactly."""
-    return SetFamily(m.width, m.rows)
+    return SetFamily(m.width, m.row_values)
 
 
 def column_sum(m: BinaryMatrix, j: int) -> int:
@@ -187,7 +186,12 @@ def column_sum(m: BinaryMatrix, j: int) -> int:
     if not 1 <= j <= m.width:
         raise IndexOutOfRange(f"column {j} outside [1, {m.width}]")
     shift = m.width - j
-    return sum((r.value >> shift) & 1 for r in m.rows)
+    return sum((v >> shift) & 1 for v in m.row_values)
+
+
+def column_sums(width: int, values: Sequence[int]) -> list[int]:
+    """Number of ones in each column of the given rows, column 1 first."""
+    return [sum((v >> (width - j)) & 1 for v in values) for j in range(1, width + 1)]
 
 
 # --- text formats ----------------------------------------------------------
@@ -210,8 +214,7 @@ def _significant_lines(text: str):
 
 def parse_matrix(text: str, source: str = "<input>") -> BinaryMatrix:
     """Parse ".bm" text into a matrix."""
-    rows: list[BitRow] = []
-    seen: dict[int, int] = {}
+    seen: dict[int, int] = {}  # row value -> line, in row order
     width = None
     for lineno, line in _significant_lines(text):
         if set(line) - {"0", "1"}:
@@ -228,14 +231,13 @@ def parse_matrix(text: str, source: str = "<input>") -> BinaryMatrix:
         if value in seen:
             raise ParseError(source, lineno, f"duplicate row {line} (first at line {seen[value]})")
         seen[value] = lineno
-        rows.append(BitRow(width, value))
-    if not rows:
+    if not seen:
         raise ParseError(source, 0, "no matrix rows found")
-    return BinaryMatrix(rows[0].width, tuple(rows))
+    return BinaryMatrix(width, tuple(seen))
 
 
 def format_matrix(m: BinaryMatrix) -> str:
-    return "".join(f"{row}\n" for row in m.rows)
+    return "".join(f"{v:0{m.width}b}\n" for v in m.row_values)
 
 
 def parse_family(text: str, source: str = "<input>") -> SetFamily:
@@ -256,8 +258,7 @@ def parse_family(text: str, source: str = "<input>") -> SetFamily:
     if ground > WIDTH_CAP:
         raise ParseError(source, lineno, f"ground size {ground} exceeds cap {WIDTH_CAP}")
 
-    vecs: list[BitRow] = []
-    seen: dict[int, int] = {}
+    seen: dict[int, int] = {}  # member value -> line, in member order
     for lineno, line in lines[1:]:
         value = 0
         if line != "-":
@@ -277,20 +278,20 @@ def parse_family(text: str, source: str = "<input>") -> SetFamily:
                 source, lineno, f"duplicate member (first at line {seen[value]})"
             )
         seen[value] = lineno
-        vecs.append(BitRow(ground, value))
-    if not vecs:
+    if not seen:
         raise ParseError(source, 0, "family has no members")
-    return SetFamily(ground, tuple(vecs))
+    return SetFamily(ground, tuple(seen))
 
 
-def format_family(f: SetFamily) -> str:
-    out = [f"ground {f.ground_size}\n"]
-    for member in f.members():
-        out.append(" ".join(str(e) for e in sorted(member)) + "\n" if member else "-\n")
+def format_family(m: BinaryMatrix) -> str:
+    """Format a matrix as ".fam" text, its rows read as subsets."""
+    out = [f"ground {m.width}\n"]
+    for v in m.row_values:
+        out.append(" ".join(map(str, _elements(m.width, v))) + "\n" if v else "-\n")
     return "".join(out)
 
 
-def parse_any(text: str, source: str = "<input>") -> BinaryMatrix | SetFamily:
+def parse_any(text: str, source: str = "<input>") -> BinaryMatrix:
     """Parse text as ".fam" if it carries a ground header, else as ".bm"."""
     for _, line in _significant_lines(text):
         if line.split()[:1] == ["ground"]:

@@ -2,8 +2,8 @@
 
 One executable, one verb per operation family. Inputs are ".bm" or
 ".fam" files (or "-" for stdin); the two formats are detected by
-content, and verbs convert between the matrix and family views as
-needed. Exit codes: 0 success, 1 precondition or verification failure,
+content. A family is a matrix read as subsets, so every verb takes
+either. Exit codes: 0 success, 1 precondition or verification failure,
 2 input, parse or usage errors.
 """
 
@@ -20,7 +20,7 @@ from .basis import compute_basis, decompose
 from .bitcore import (
     BinaryMatrix,
     SetFamily,
-    family_to_matrix,
+    column_sum,
     format_family,
     format_matrix,
     matrix_to_family,
@@ -64,7 +64,7 @@ def _read_text(path: str) -> str:
         _fail(2, str(exc))
 
 
-def _load_any(path: str) -> BinaryMatrix | SetFamily:
+def _load_any(path: str) -> BinaryMatrix:
     source = "<stdin>" if path == "-" else path
     try:
         return parse_any(_read_text(path), source)
@@ -72,14 +72,9 @@ def _load_any(path: str) -> BinaryMatrix | SetFamily:
         _fail(2, str(exc))
 
 
-def _load_matrix(path: str) -> BinaryMatrix:
-    data = _load_any(path)
-    return family_to_matrix(data) if isinstance(data, SetFamily) else data
-
-
 def _load_family(path: str) -> SetFamily:
     data = _load_any(path)
-    return matrix_to_family(data) if isinstance(data, BinaryMatrix) else data
+    return data if isinstance(data, SetFamily) else matrix_to_family(data)
 
 
 def _emit(text: str, output: str | None):
@@ -127,7 +122,7 @@ def cli():
 @_OUTPUT
 def check_closure_cmd(input, op_text, fmt, output):
     """Report whether the rows are closed under an operator (or all)."""
-    m = _load_matrix(input)
+    m = _load_any(input)
     if op_text is not None:
         op = _op_argument(op_text)
         closed = is_closed(m, op)
@@ -155,12 +150,12 @@ def check_closure_cmd(input, op_text, fmt, output):
 @_OUTPUT
 def close_cmd(input, op_text, fmt, output):
     """Fixed-point closure of the rows under an operator."""
-    m = _load_matrix(input)
+    m = _load_any(input)
     op = _op_argument(op_text)
     closed = closure(m, op)
     if fmt == "json":
         _emit_json(
-            {"op": op_name(op), "width": closed.width, "rows": [str(r) for r in closed.rows]},
+            {"op": op_name(op), "width": closed.width, "rows": format_matrix(closed).split()},
             output,
         )
     else:
@@ -173,7 +168,7 @@ def close_cmd(input, op_text, fmt, output):
 @_OUTPUT
 def psi_cmd(input, fmt, output):
     """Column-sum statistics and the half-membership verdict."""
-    m = _load_matrix(input)
+    m = _load_any(input)
     stats = psi(m)
     if fmt == "json":
         _emit_json(
@@ -203,7 +198,7 @@ def psi_cmd(input, fmt, output):
 @_OUTPUT
 def canon_cmd(input, fmt, output):
     """Canonical form under row and column permutations."""
-    m = _load_matrix(input)
+    m = _load_any(input)
     try:
         form = canonicalize(m)
     except ClosureLabError as exc:
@@ -212,7 +207,7 @@ def canon_cmd(input, fmt, output):
         _emit_json(
             {
                 "width": form.matrix.width,
-                "rows": [str(r) for r in form.matrix.rows],
+                "rows": format_matrix(form.matrix).split(),
                 "row_perm": list(form.row_perm),
                 "col_perm": list(form.col_perm),
             },
@@ -228,7 +223,7 @@ def canon_cmd(input, fmt, output):
 @_OUTPUT
 def basis_cmd(input, fmt, output):
     """Orthogonal basis and per-row decompositions of an AND/ABJ-closed set."""
-    m = _load_matrix(input)
+    m = _load_any(input)
     try:
         b = compute_basis(m)
         rows = [(row, sorted(decompose(row, b).index_set)) for row in m.rows]
@@ -267,10 +262,9 @@ def witness_cmd(operator, input, fmt, output):
             # The one family verb: its certificate names an element.
             family = _load_family(input)
             column = witness(family)
-            members = family.members()
-            ones, n = sum(1 for s in members if column in s), len(members)
+            ones, n = column_sum(family, column), family.n_rows
         else:
-            w = witness(_load_matrix(input))
+            w = witness(_load_any(input))
             column, ones, n = w.column, w.ones, w.total_rows
     except _VERIFY_ERRORS as exc:
         _fail(1, str(exc))
@@ -321,7 +315,7 @@ def counterexample_block_cmd(n, k, fmt, output):
 
 def _emit_matrix(m: BinaryMatrix, fmt: str, output: str | None):
     if fmt == "json":
-        _emit_json({"width": m.width, "rows": [str(r) for r in m.rows]}, output)
+        _emit_json({"width": m.width, "rows": format_matrix(m).split()}, output)
     else:
         _emit(format_matrix(m), output)
 
@@ -369,13 +363,8 @@ def convert_cmd(input, target, output):
     """Convert between the matrix (.bm) and family (.fam) text formats."""
     data = _load_any(input)
     if target is None:
-        target = "fam" if isinstance(data, BinaryMatrix) else "bm"
-    if target == "bm":
-        m = family_to_matrix(data) if isinstance(data, SetFamily) else data
-        _emit(format_matrix(m), output)
-    else:
-        f = matrix_to_family(data) if isinstance(data, BinaryMatrix) else data
-        _emit(format_family(f), output)
+        target = "bm" if isinstance(data, SetFamily) else "fam"
+    _emit(format_matrix(data) if target == "bm" else format_family(data), output)
 
 
 def main():

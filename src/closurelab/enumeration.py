@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .bitcore import BinaryMatrix, format_matrix
+from .bitcore import BinaryMatrix, column_sums, format_matrix
 from .errors import (
     CampaignFailure,
     ClosureLabError,
@@ -187,17 +187,13 @@ def _neg_closed(width: int, values: tuple[int, ...]) -> bool:
     return all(v ^ mask in present for v in values)
 
 
-def _col_sums(width: int, values: tuple[int, ...]) -> list[int]:
-    return [sum((v >> (width - j)) & 1 for v in values) for j in range(1, width + 1)]
-
-
 def _count_flip_consistent(width: int, values: tuple[int, ...]) -> bool:
     """Each column's ones count in the complemented rows is n minus its
     count in the rows, counted from the complemented rows themselves."""
     n = len(values)
     mask = (1 << width) - 1
-    flipped = _col_sums(width, tuple(v ^ mask for v in values))
-    return all(f == n - s for s, f in zip(_col_sums(width, values), flipped))
+    flipped = column_sums(width, tuple(v ^ mask for v in values))
+    return all(f == n - s for s, f in zip(column_sums(width, values), flipped))
 
 
 def _theorem_runs(
@@ -332,7 +328,7 @@ def _check_family(
     if closed & (1 << OR.table) and any(values):
         agg["frankl"]["or_closed_nonzero"] += 1
         n = len(values)
-        if 2 * max(_col_sums(width, values)) < n:
+        if 2 * max(column_sums(width, values)) < n:
             agg["frankl"]["failures"] += 1
             agg["failures"].append(
                 (ref, "union_closed_frankl", "no column reaches half the rows", width, list(values))

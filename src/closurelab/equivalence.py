@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitcore import BinaryMatrix, BitRow
+from .bitcore import BinaryMatrix
 from .errors import WidthCapExceeded
 
 #: Canonicalization enumerates column permutations (with pruning); widths
@@ -36,14 +36,15 @@ def apply_permutations(
     m: BinaryMatrix, row_perm: tuple[int, ...], col_perm: tuple[int, ...]
 ) -> BinaryMatrix:
     """Reorder rows and columns: position i takes input index perm[i]."""
+    w, values = m.width, m.row_values
     rows = []
     for i in row_perm:
-        src = m.rows[i]
+        src = values[i]
         value = 0
         for c in col_perm:
-            value = (value << 1) | ((src.value >> (m.width - 1 - c)) & 1)
-        rows.append(BitRow(m.width, value))
-    return BinaryMatrix(m.width, tuple(rows))
+            value = (value << 1) | ((src >> (w - 1 - c)) & 1)
+        rows.append(value)
+    return BinaryMatrix(w, tuple(rows))
 
 
 def canonicalize(m: BinaryMatrix) -> CanonicalForm:

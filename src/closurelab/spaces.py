@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bitcore import BinaryMatrix
+from .bitcore import BinaryMatrix, column_sums
 from .errors import ParameterOutOfRange, PreconditionViolated
 from .operators import NEGATION, OpLike, apply_values, op_name
 
@@ -33,11 +33,17 @@ def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: i
 
     One set of images {u ^ (b & d) for b} per left row a, stopping at the
     first row whose images leave present. A row with d == 0 has the
-    single image u.
+    single image u. Rows with equal masks have equal images, so each
+    (u, d) is checked once: under op(a, b) = b every row maps to
+    (0, all ones), and a large row set costs one image set, not n.
     """
+    seen = set()
     for a in values:
-        u, d = row_map(table, a, mask)
+        u, d = ud = row_map(table, a, mask)
         if d:
+            if ud in seen:
+                continue
+            seen.add(ud)
             if not {u ^ (b & d) for b in values} <= present:
                 return False
         elif u not in present:
@@ -120,8 +126,7 @@ def psi(m: BinaryMatrix) -> PsiStats:
     frankl_holds is the exact test 2 * max >= n.
     """
     values = m.row_values
-    w = m.width
-    sums = [sum((v >> (w - j)) & 1 for v in values) for j in range(1, w + 1)]
+    sums = column_sums(m.width, values)
     max_psi = max(sums)
     return PsiStats(
         psi_set=frozenset(sums),

@@ -60,6 +60,32 @@ def test_bitrow_validation():
         BitRow(WIDTH_CAP + 1, 0)
 
 
+def test_matrix_validates_packed_rows():
+    for width, values in ((3, [8]), (3, [-1]), (0, [0]), (2, ["1"])):
+        with pytest.raises(ValueError):
+            BinaryMatrix.from_values(width, values)
+    with pytest.raises(WidthCapExceeded):
+        BinaryMatrix.from_values(WIDTH_CAP + 1, [0])
+    with pytest.raises(Empty):
+        BinaryMatrix.from_values(3, [])
+    with pytest.raises(DuplicateRow, match="^duplicate row 0101$"):
+        BinaryMatrix.from_values(4, [5, 5])
+
+
+def test_matrix_rows_are_bitrows_in_input_order():
+    m = BinaryMatrix.from_values(3, [6, 1, 4])
+    assert m.rows == (BitRow(3, 6), BitRow(3, 1), BitRow(3, 4))
+    assert m.row_values == (6, 1, 4)
+
+
+def test_family_is_a_matrix_but_not_equal_to_one():
+    f = example_family()
+    m = family_to_matrix(f)
+    assert isinstance(f, BinaryMatrix) and not isinstance(m, SetFamily)
+    assert f.row_values == m.row_values
+    assert f != m and m != f
+
+
 def test_make_matrix_construction():
     m = make_matrix([BitRow.from_string("10"), BitRow.from_string("01")])
     assert m.width == 2 and m.n_rows == 2

@@ -193,6 +193,40 @@ def test_convert_round_trip(tmp_path):
 def test_convert_explicit_target(tmp_path):
     path = write(tmp_path, "ex1.bm", EXAMPLE1_BM)
     assert invoke("convert", path, "--to", "bm").output == EXAMPLE1_BM
+    path = write(tmp_path, "ex1.fam", EXAMPLE1_FAM)
+    assert invoke("convert", path, "--to", "fam").output == EXAMPLE1_FAM
+
+
+#: name -> (.bm text, the same rows as .fam text)
+TWINS = {
+    "ex1": (EXAMPLE1_BM, EXAMPLE1_FAM),
+    "basis": ("01\n10\n11\n", "ground 2\n2\n1\n1 2\n"),
+    "imp": ("10\n11\n", "ground 2\n1\n1 2\n"),
+    "topology": ("00\n10\n11\n", "ground 2\n-\n1\n1 2\n"),
+}
+TWIN_VERBS = [
+    ["check-closure"],
+    ["check-closure", "--format", "text"],
+    ["close", "--op", "or"],
+    ["canon"],
+    ["basis"],
+    ["witness", "imp"],
+    ["witness", "topology"],
+]
+
+
+def test_family_and_matrix_inputs_give_the_same_output(tmp_path):
+    exit_codes = set()
+    for name, (bm_text, fam_text) in TWINS.items():
+        bm = write(tmp_path, f"{name}.bm", bm_text)
+        fam = write(tmp_path, f"{name}.fam", fam_text)
+        assert invoke("convert", fam).output == bm_text
+        for verb in TWIN_VERBS:
+            from_bm, from_fam = invoke(*verb, bm), invoke(*verb, fam)
+            assert (from_fam.exit_code, from_fam.output) == (from_bm.exit_code, from_bm.output), (
+                name, verb)
+            exit_codes.add(from_bm.exit_code)
+    assert exit_codes == {0, 1}
 
 
 def test_campaign_cli():

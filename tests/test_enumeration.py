@@ -248,7 +248,7 @@ def test_campaign_failure_dumps_reproducer(tmp_path, monkeypatch):
     assert json.loads(header["seed"]) is None
 
 
-_REAL_COL_SUMS = enumeration._col_sums
+_REAL_COL_SUMS = enumeration.column_sums
 _REAL_MEMBERS = SetFamily.members
 _REAL_IS_CLOSED = witnesses.is_closed
 
@@ -275,7 +275,7 @@ BROKEN_STEPS = {
     "imp_implies_or": (
         witnesses, "is_closed", lambda m, op: op is not OR and _REAL_IS_CLOSED(m, op)
     ),
-    "complement_count_flip": (enumeration, "_col_sums", _miscount_complements),
+    "complement_count_flip": (enumeration, "column_sums", _miscount_complements),
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from closurelab import (
     OR,
     XOR,
     BinaryMatrix,
+    BoolOp,
     Space,
     apply_permutations,
     closure,
@@ -120,6 +122,17 @@ def test_kernel_matches_oracle_on_single_rows(m):
 @pytest.mark.parametrize("width", range(1, 9))
 def test_kernel_matches_oracle_on_the_full_space(width):
     assert_kernel_matches_oracle(BinaryMatrix.from_values(width, range(1 << width)))
+
+
+def test_projection_closure_of_many_rows_within_budget():
+    # Under op(a, b) = b every row has the same masks (u, d), so the
+    # kernel checks one image set, not one per row: linear, not quadratic.
+    m = BinaryMatrix.from_values(16, random.Random(16).sample(range(1 << 16), 8000))
+    t0 = time.perf_counter()
+    closed = is_closed(m, BoolOp(10))
+    elapsed = time.perf_counter() - t0
+    assert closed
+    assert elapsed < 1.0, f"is_closed under tt:10 on 8000 rows took {elapsed:.2f} s (budget 1 s)"
 
 
 def closure_reference(generators: BinaryMatrix, op) -> tuple[int, ...]:
