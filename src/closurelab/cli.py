@@ -26,7 +26,7 @@ from .bitcore import (
     matrix_to_family,
     parse_any,
 )
-from .enumeration import CampaignConfig, run_campaign
+from .enumeration import _CLOSED_NAMES, CampaignConfig, _closed_mask_direct, run_campaign
 from .equivalence import canonicalize
 from .errors import (
     AllEmpty,
@@ -37,7 +37,7 @@ from .errors import (
     PreconditionViolated,
     VerificationFailed,
 )
-from .operators import ALL_OPS, NEGATION, op_name, parse_op
+from .operators import op_name, parse_op
 from .spaces import closure, counterexample_block, counterexample_identity, is_closed, psi
 from .witnesses import THEOREMS
 
@@ -133,7 +133,8 @@ def check_closure_cmd(input, op_text, fmt, output):
         if not closed:
             sys.exit(1)
         return
-    status = {op_name(op): is_closed(m, op) for op in (*ALL_OPS, NEGATION)}
+    closed = _closed_mask_direct(m.width, m.row_values)
+    status = {name: bool(closed >> bit & 1) for bit, name in _CLOSED_NAMES}
     if fmt == "json":
         _emit_json({"closed_under": status}, output)
     else:

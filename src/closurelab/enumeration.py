@@ -8,10 +8,12 @@ row presence vectors. Negation needs no case of its own: it is truth
 table 3, so a family's classification is one 16-bit mask. Random mode
 draws seeded generator rows, closes them under a drawn operator,
 classifies each family with the affine kernel of spaces, and feeds the
-results through the same checks. Campaign output is deterministic for
-a given config and seed, independent of the worker count: the family
-space is split into fixed chunks and partial results are merged in
-chunk order.
+results through the same checks. That classification (also behind
+`check-closure` without `--op`) reads implied closures from the clone
+table operators.CLONE and checks only the tables nothing already
+decides. Campaign output is deterministic for a given config and seed,
+independent of the worker count: the family space is split into fixed
+chunks and partial results are merged in chunk order.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from .errors import (
 )
 from .operators import (
     ABJ,
+    ABOVE,
     ALL_OPS,
     AND,
+    CLONE,
     IMP,
     NAND,
     NEGATION,
@@ -169,14 +173,30 @@ def _closed_mask_coded(width: int, codes: range) -> list[int]:
     return [int(col, 2) for col in reversed(_bit_columns(closed, len(codes)))]
 
 
+#: Truth tables by descending clone size, ties by table number: a table
+#: checked early decides the most others.
+_CLONE_ORDER = tuple(sorted(range(16), key=lambda t: (-CLONE[t].bit_count(), t)))
+
+
 def _closed_mask_direct(width: int, values: tuple[int, ...]) -> int:
-    """16-bit closure mask for a family given as its row values."""
+    """16-bit closure mask for a family given as its row values.
+
+    Closure under a table implies closure under its whole clone, and a
+    failure implies failure under every table above it, so only the
+    tables that no earlier answer decides are checked. NAND and NOR
+    generate all sixteen: a NAND-closed family costs one check.
+    """
     mask = (1 << width) - 1
     present = set(values)
-    closed = 0
-    for op in range(16):
+    closed = known = 0
+    for op in _CLONE_ORDER:
+        if known >> op & 1:
+            continue
         if closed_under(op, values, present, mask):
-            closed |= 1 << op
+            closed |= CLONE[op]
+            known |= CLONE[op]
+        else:
+            known |= ABOVE[op]
     return closed
 
 

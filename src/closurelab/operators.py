@@ -134,6 +134,30 @@ def apply_values(table: int, a: int, b: int, mask: int) -> int:
     return out & mask
 
 
+def _clone(table: int) -> int:
+    """Bit mask of the truth tables that table generates by composition.
+
+    The tables of the projections a (12) and b (10), closed under table
+    applied to 4-bit tables, are the binary part of its clone.
+    """
+    found = {12, 10}
+    while True:
+        grown = found | {apply_values(table, x, y, 15) for x in found for y in found}
+        if grown == found:
+            return sum(1 << t for t in found)
+        found = grown
+
+
+#: CLONE[f] has bit g set iff g is a term in f (Post's lattice of clones).
+#: A row set closed under f is closed under every g in CLONE[f]: each
+#: image of g is a nest of f images of the same two rows.
+CLONE = tuple(_clone(t) for t in range(16))
+
+#: ABOVE[g] has bit f set iff g is in CLONE[f]: a row set not closed
+#: under g is not closed under any of them.
+ABOVE = tuple(sum(1 << f for f in range(16) if CLONE[f] >> g & 1) for g in range(16))
+
+
 def apply(op: BoolOp, a: BitRow, b: BitRow) -> BitRow:
     """Apply op to two rows of equal width, elementwise."""
     if a.width != b.width:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bitcore import BinaryMatrix, column_sums
 from .errors import ParameterOutOfRange, PreconditionViolated
-from .operators import NEGATION, OpLike, apply_values, op_name
+from .operators import OpLike, apply_values, op_name
 
 
 def row_map(table: int, a: int, mask: int) -> tuple[int, int]:
@@ -71,30 +71,37 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
     Worklist fixed point: generator rows first, new rows appended in
     discovery order. Row i is paired with rows 0..i, producing op(a, b)
     then op(b, a); each is computed as u ^ (b & d) from the masks
-    row_map gives once per row. Under negation (table 3, op(a, b) = not
-    a) the only new row that pairing can find is row i's complement, so
-    one image per row gives the same rows in the same order without the
-    quadratic pair loop. The result always has at most 2**width rows.
+    row_map gives once per row. Pairs whose image is already present
+    are skipped, which keeps that order exactly:
+
+    - a row whose (u, d) appeared on an earlier row k has row k's
+      images, all present by the time row i's pairing reaches k, so
+      only its images op(b, a) are computed;
+    - a row with d == 0 has the single image u as op(a, b);
+    - op(b, a) repeats op(b', a) when an earlier b' has b's masks, and
+      is b's own present u when b's d == 0, so only the rows where a
+      map with d != 0 first appeared give images op(b, a).
+
+    A row whose map is new and has d != 0 is paired with every earlier
+    row. Under a constant, a projection or a negated projection no row
+    after the first takes that path, so the closure is linear in the
+    rows. The result always has at most 2**width rows.
     """
     mask = (1 << generators.width) - 1
+    table = op.table
     rows = list(generators.row_values)
     present = set(rows)
-    if op.table == NEGATION.table:
-        i = 0
-        while i < len(rows):
-            c = rows[i] ^ mask
-            if c not in present:
-                present.add(c)
-                rows.append(c)
-            i += 1
-    else:
-        table = op.table
-        maps: list[tuple[int, int]] = []
-        i = 0
-        while i < len(rows):
-            a = rows[i]
-            ua, da = row_map(table, a, mask)
-            maps.append((ua, da))
+    maps: list[tuple[int, int]] = []  # (u, d) of every row so far
+    seen: set[tuple[int, int]] = set()
+    movers: list[tuple[int, int]] = []  # first occurrences of each (u, d) with d != 0
+    i = 0
+    while i < len(rows):
+        a = rows[i]
+        ua, da = ud = row_map(table, a, mask)
+        maps.append(ud)
+        if ud not in seen and da:
+            seen.add(ud)
+            movers.append(ud)
             # maps has i + 1 entries, so zip stops after row i
             for b, (ub, db) in zip(rows, maps):
                 r = ua ^ (b & da)
@@ -105,7 +112,18 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
                 if r not in present:
                     present.add(r)
                     rows.append(r)
-            i += 1
+        else:
+            if ud not in seen:
+                seen.add(ud)
+                if ua not in present:
+                    present.add(ua)
+                    rows.append(ua)
+            for ub, db in movers:
+                r = ub ^ (a & db)
+                if r not in present:
+                    present.add(r)
+                    rows.append(r)
+        i += 1
     return BinaryMatrix.from_values(generators.width, rows)
 
 

@@ -46,7 +46,7 @@ from .operators import (
     op_name,
     tilde_matrix,
 )
-from .spaces import is_closed
+from .spaces import closed_under, is_closed
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,16 +184,29 @@ def topology_witness(f: SetFamily) -> int:
     set being a member still qualify; only the closure that can be
     satisfied is demanded.
     """
-    members = f.members()
-    member_set = set(members)
-    for a in members:
-        for b in members:
-            if a | b not in member_set:
-                raise PreconditionViolated("family is not closed under union")
-            meet = a & b
-            if meet and meet not in member_set:
-                raise PreconditionViolated("family is not closed under nonempty intersection")
-    if not any(members):
+    # Union is OR of the rows; a nonempty intersection is an AND image
+    # other than the empty row 0, so AND closure that admits 0 decides it.
+    values = f.row_values
+    unions = is_closed(f, OR)
+    meets = closed_under(AND.table, values, {*values, 0}, (1 << f.width) - 1)
+    not_unions = "family is not closed under union"
+    not_meets = "family is not closed under nonempty intersection"
+    if not unions and not meets:
+        # Both fail: the first failing pair in member order names the check.
+        members = f.members()
+        member_set = set(members)
+        for a in members:
+            for b in members:
+                if a | b not in member_set:
+                    raise PreconditionViolated(not_unions)
+                meet = a & b
+                if meet and meet not in member_set:
+                    raise PreconditionViolated(not_meets)
+    if not unions:
+        raise PreconditionViolated(not_unions)
+    if not meets:
+        raise PreconditionViolated(not_meets)
+    if not any(values):
         raise AllEmpty("every member is the empty set; no element exists")
     return _topology_core(f)
 

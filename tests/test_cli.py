@@ -87,6 +87,24 @@ def test_check_closure_exit_codes(tmp_path):
     assert status["or"] is True and status["and"] is False and len(status) == 17
 
 
+def test_check_closure_all_ops_matches_each_op(tmp_path):
+    # The all-operator report reads one closure mask; each entry must
+    # still say what the single-operator check says, in the same order.
+    names = ["tt:0", "nor", "cabj", "tt:3", "abj", "tt:5", "xor", "nand", "and", "xnor",
+             "tt:10", "imp", "tt:12", "cimp", "or", "tt:15", "not"]
+    for code in range(1, 1 << 4):
+        rows = "".join(f"{r:02b}\n" for r in range(4) if code >> r & 1)
+        path = write(tmp_path, f"f{code}.bm", rows)
+        status = json.loads(invoke("check-closure", path).output)["closed_under"]
+        text = invoke("check-closure", path, "--format", "text").output
+        assert text == "".join(
+            f"{name}: {'closed' if status[name] else 'not closed'}\n" for name in names
+        )
+        for name in names:
+            single = invoke("check-closure", path, "--op", name)
+            assert json.loads(single.output)["closed"] is status[name], (rows, name)
+
+
 def test_check_closure_unknown_op(tmp_path):
     path = write(tmp_path, "ex1.bm", EXAMPLE1_BM)
     assert invoke("check-closure", path, "--op", "frobnicate").exit_code == 2

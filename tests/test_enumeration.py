@@ -10,6 +10,7 @@ from closurelab import (
     ALL_OPS,
     IMP,
     NEGATION,
+    NOR,
     OR,
     CampaignConfig,
     Decomposition,
@@ -35,6 +36,8 @@ from closurelab.errors import (
     PreconditionViolated,
     WidthCapExceeded,
 )
+from closurelab.operators import CLONE
+from closurelab.spaces import closed_under
 
 from conftest import SEMANTICS, closed_oracle, matrix_tuples
 
@@ -95,6 +98,48 @@ def test_coded_closure_mask_matches_direct():
     parts = [part for _, _, part in _chunk_args(CampaignConfig(width=4, mode="exhaustive"))]
     for part in (parts[0], parts[len(parts) // 2], parts[-1]):
         assert _closed_mask_coded(4, part) == direct_masks(4, part), part
+
+
+def up_closed(closed):
+    """Whether the mask holds the whole clone of each table it holds."""
+    return all(closed & CLONE[f] == CLONE[f] for f in range(16) if closed >> f & 1)
+
+
+def test_closure_masks_are_up_closed_under_the_clone_table():
+    # Closure under f implies closure under every term in f, whichever
+    # kernel found the mask and whichever tables it actually checked.
+    for width in (1, 2, 3):
+        codes = range(1, 1 << (1 << width))
+        for closed in _closed_mask_coded(width, codes) + direct_masks(width, codes):
+            assert up_closed(closed), (width, closed)
+    for _, _, part in _chunk_args(CampaignConfig(width=4, mode="exhaustive")):
+        assert all(up_closed(closed) for closed in _closed_mask_coded(4, part)), part
+    cfg = CampaignConfig(width=8, mode="random", sample_count=1000, seed=7)
+    imp_closed = []
+    for args in _chunk_args(cfg):
+        for ref, values, closed in enumeration._chunk_families(args):
+            assert up_closed(closed), ref
+            if closed >> IMP.table & 1:
+                imp_closed.append(closed)
+    # The check can fail: IMP generates OR, so dropping the OR bit breaks it.
+    assert imp_closed
+    assert not any(up_closed(closed & ~(1 << OR.table)) for closed in imp_closed)
+
+
+def test_full_space_costs_one_closure_check(monkeypatch):
+    # NOR comes first and generates every table, so its one check decides
+    # all sixteen bits.
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return closed_under(*args)
+
+    monkeypatch.setattr(enumeration, "closed_under", counting)
+    for width in range(1, 9):
+        calls.clear()
+        assert _closed_mask_direct(width, tuple(range(1 << width))) == 0xFFFF
+        assert calls == [NOR.table], width
 
 
 def test_negation_closed_families_split_columns_evenly():

@@ -26,6 +26,7 @@ from closurelab import (
     tilde_op,
 )
 from closurelab.errors import WidthMismatch
+from closurelab.operators import ABOVE, CLONE
 
 from conftest import SEMANTICS, apply_tuple, neg_tuple, row_tuple
 
@@ -180,3 +181,37 @@ def test_parse_op_names():
     for bad in ("nope", "tt:16", "tt:-1", "tt:x", ""):
         with pytest.raises(ValueError):
             parse_op(bad)
+
+
+def tables(*numbers):
+    return sum(1 << t for t in set(numbers))
+
+
+def test_clone_table_facts():
+    # NAND and NOR are Sheffer functions; ABJ gives 0, a, b, AND, ABJ and
+    # its mirror CABJ; tables with equal clones have the same closed rows.
+    assert CLONE[NAND.table] == CLONE[NOR.table] == 0xFFFF
+    assert CLONE[ABJ.table] == tables(0, CABJ.table, ABJ.table, AND.table, 10, 12)
+    for f, g in ((1, 7), (2, 4), (3, 5), (11, 13)):
+        assert CLONE[f] == CLONE[g], (f, g)
+    assert CLONE[IMP.table] >> OR.table & 1
+    assert CLONE[NEGATION.table] == tables(3, 5, 10, 12)
+
+
+def apply_table(f, x, y):
+    """Truth table of f(x, y) for tables x and y, one input pair at a time."""
+    return sum(BoolOp(f).output(x >> k & 1, y >> k & 1) << k for k in range(4))
+
+
+def test_clone_table_is_closed_and_above_is_its_converse():
+    for f in range(16):
+        # a clone holds a (12), b (10) and f, is closed under f, and
+        # holds the clone of each member
+        assert CLONE[f] & tables(10, 12, f) == tables(10, 12, f)
+        members = [g for g in range(16) if CLONE[f] >> g & 1]
+        for x in members:
+            assert CLONE[x] & ~CLONE[f] == 0, (f, x)
+            for y in members:
+                assert CLONE[f] >> apply_table(f, x, y) & 1, (f, x, y)
+        for g in range(16):
+            assert (ABOVE[g] >> f & 1) == (CLONE[f] >> g & 1)

@@ -135,6 +135,18 @@ def test_projection_closure_of_many_rows_within_budget():
     assert elapsed < 1.0, f"is_closed under tt:10 on 8000 rows took {elapsed:.2f} s (budget 1 s)"
 
 
+def test_degenerate_closure_of_many_rows_within_budget():
+    # Under a constant, a projection or a negated projection no row after
+    # the first pairs with every earlier row, so closure is linear.
+    m = BinaryMatrix.from_values(16, random.Random(16).sample(range(1 << 16), 4000))
+    for table in (10, 12, 0, 15, 5, 3):
+        t0 = time.perf_counter()
+        closed = closure(m, BoolOp(table))
+        elapsed = time.perf_counter() - t0
+        assert closed.row_values[:4000] == m.row_values
+        assert elapsed < 0.5, f"closure under tt:{table} of 4000 rows took {elapsed:.2f} s (budget 0.5 s)"
+
+
 def closure_reference(generators: BinaryMatrix, op) -> tuple[int, ...]:
     """The pair-loop closure: row i against rows 0..i, op(a, b) then op(b, a),
     one apply_values call per ordered pair."""
@@ -159,6 +171,16 @@ def closure_reference(generators: BinaryMatrix, op) -> tuple[int, ...]:
 def test_closure_row_order_matches_pair_loop_reference(gens, op_index):
     op = _OPS[op_index]
     assert closure(gens, op).row_values == closure_reference(gens, op)
+
+
+def test_closure_row_order_matches_pair_loop_reference_on_many_generators():
+    # Up to a dozen generators, so rows share maps and skip their pairs.
+    rng = random.Random(20)
+    for _ in range(3000):
+        width = rng.randint(1, 6)
+        gens = random_distinct_matrix(rng, width, rng.randint(1, min(12, 1 << width)))
+        op = BoolOp(rng.randrange(16))
+        assert closure(gens, op).row_values == closure_reference(gens, op), (gens, op)
 
 
 def test_closure_or_join():

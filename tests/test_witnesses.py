@@ -31,7 +31,7 @@ from closurelab import (
     topology_witness,
 )
 from closurelab.errors import AllEmpty, PreconditionViolated
-from closurelab.witnesses import THEOREMS
+from closurelab.witnesses import THEOREMS, _topology_core
 
 from conftest import (
     SEMANTICS,
@@ -236,6 +236,42 @@ def test_topology_witness_random_lattices():
         f = SetFamily.from_members(width, [tuple(sorted(s)) for s in sorted(closed, key=sorted)])
         element = topology_witness(f)
         topology_recount(f, element)
+
+
+def topology_reference(f: SetFamily):
+    """The pair-loop gate: the first failing pair names the check."""
+    members = f.members()
+    member_set = set(members)
+    for a in members:
+        for b in members:
+            if a | b not in member_set:
+                raise PreconditionViolated("family is not closed under union")
+            meet = a & b
+            if meet and meet not in member_set:
+                raise PreconditionViolated("family is not closed under nonempty intersection")
+    if not any(members):
+        raise AllEmpty("every member is the empty set; no element exists")
+    return _topology_core(f)
+
+
+def outcome(fn, f):
+    try:
+        return fn(f)
+    except (PreconditionViolated, AllEmpty) as exc:
+        return type(exc), str(exc)
+
+
+def test_topology_gate_matches_pair_loop():
+    rng = random.Random(4)
+    width4 = [tuple(rng.sample(range(16), rng.randint(1, 16))) for _ in range(300)]
+    families = [(3, v) for v in all_families(3)] + [(4, v) for v in width4]
+    kinds = set()
+    for width, values in families:
+        f = SetFamily(width, values)
+        expected = outcome(topology_reference, f)
+        assert outcome(topology_witness, f) == expected, values
+        kinds.add(expected[1] if isinstance(expected, tuple) else "element")
+    assert len(kinds) == 4, kinds  # both messages, all-empty and a witness
 
 
 def test_conditional_witness_two_row_space():
