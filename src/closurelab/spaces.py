@@ -1,15 +1,23 @@
 """Closure checking, fixed-point closure, column-sum statistics.
 
 A space is a non-zero matrix whose row set is closed under an operator.
-The column-sum statistics record, for each matrix, the set of column
-sums, the best column, and whether that column covers at least half the
-rows (the exact-integer test 2 * max >= n, no fractions anywhere).
+Every closure check runs on one kernel: with the left row a fixed, an
+operator is op(a, b) == u ^ (b & d) for masks (u, d) of a alone. Rows
+that fit in a byte are checked as byte strings: a row's images are the
+rows translated through the 256-byte tables of b & d and then b ^ u,
+and deleting every present byte from them must leave nothing, one
+C-level pass per left row. Wider rows build one Python set of images
+per left row. The column-sum statistics record, for each matrix, the
+set of column sums, the best column, and whether that column covers at
+least half the rows (the exact-integer test 2 * max >= n, no fractions
+anywhere).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from .bitcore import BinaryMatrix, column_sums
 from .errors import ParameterOutOfRange, PreconditionViolated
@@ -28,23 +36,60 @@ def row_map(table: int, a: int, mask: int) -> tuple[int, int]:
     return u, u ^ apply_values(table, a, mask, mask)
 
 
+@cache
+def _and_table(d: int) -> bytes:
+    """Translation table of b -> b & d on bytes."""
+    return bytes(b & d for b in range(256))
+
+
+@cache
+def _xor_table(u: int) -> bytes:
+    """Translation table of b -> b ^ u on bytes."""
+    return bytes(b ^ u for b in range(256))
+
+
+@cache
+def _byte_maps(table: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """row_map(table, a, mask) for every row a of a width of at most 8."""
+    return tuple(row_map(table, a, mask) for a in range(mask + 1))
+
+
 def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: int) -> bool:
     """True iff op(a, b) is in present for every a, b in values.
 
-    One set of images {u ^ (b & d) for b} per left row a, stopping at the
-    first row whose images leave present. A row with d == 0 has the
-    single image u. Rows with equal masks have equal images, so each
-    (u, d) is checked once: under op(a, b) = b every row maps to
-    (0, all ones), and a large row set costs one image set, not n.
+    The images {u ^ (b & d) for b} of one left row a are tested at a
+    time, stopping at the first row whose images leave present. A row
+    with d == 0 has the single image u. Rows with equal masks have
+    equal images, so each (u, d) is checked once: under op(a, b) = b
+    every row maps to (0, all ones), and a large row set costs one
+    image test, not n.
+
+    When the rows fit in a byte (mask < 256) the values are one bytes
+    object, and a row's images are that object translated through
+    b & d, then through b ^ u when u is non-zero; they all lie in
+    present when deleting the present bytes leaves nothing. The masks
+    and tables are built once per process. Wider rows build the set of
+    images instead.
     """
+    byte = mask < 256
+    if byte:
+        maps = _byte_maps(table, mask)
+        rows = bytes(values)
+        keep = bytes(present)
     seen = set()
     for a in values:
-        u, d = ud = row_map(table, a, mask)
+        u, d = ud = maps[a] if byte else row_map(table, a, mask)
         if d:
             if ud in seen:
                 continue
             seen.add(ud)
-            if not {u ^ (b & d) for b in values} <= present:
+            if byte:
+                images = rows.translate(_and_table(d))
+                if u:
+                    images = images.translate(_xor_table(u))
+                if images.translate(None, keep):
+                    return False
+            elif not {u ^ (b & d) for b in values} <= present:
                 return False
         elif u not in present:
             return False
@@ -57,7 +102,7 @@ def is_closed(m: BinaryMatrix, op: OpLike) -> bool:
     All ordered pairs are tested, including a row with itself; the
     diagonal matters (for NAND/NOR it produces the row's negation). For
     each left row a the images op(a, b) are u ^ (b & d) with the masks of
-    row_map, so one row's pairs are checked as one set of images. The
+    row_map, so one row's pairs are checked at once by closed_under. The
     negation marker is truth table 3, whose only image of row a is its
     complement.
     """

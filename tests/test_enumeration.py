@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from closurelab import (
     ALL_OPS,
+    AND,
     IMP,
     NEGATION,
     NOR,
@@ -192,14 +193,26 @@ def test_campaign_deterministic_across_workers():
     assert one.to_json() == four.to_json()
 
 
-def test_parallel_campaign_is_deterministic_under_spawn(monkeypatch):
+def assert_spawned_pool_matches_serial(monkeypatch, **cfg):
     # Spawned workers start from a fresh interpreter and inherit nothing
     # from the parent process.
-    serial = run_campaign(CampaignConfig(width=3, mode="exhaustive", parallelism=1))
+    serial = run_campaign(CampaignConfig(parallelism=1, **cfg))
     spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", spawn)
-    parallel = run_campaign(CampaignConfig(width=3, mode="exhaustive", parallelism=2))
+    parallel = run_campaign(CampaignConfig(parallelism=2, **cfg))
     assert parallel.to_json() == serial.to_json()
+
+
+def test_parallel_campaign_is_deterministic_under_spawn(monkeypatch):
+    assert_spawned_pool_matches_serial(monkeypatch, width=3, mode="exhaustive")
+
+
+def test_parallel_random_campaign_is_deterministic_under_spawn(monkeypatch):
+    # Width-8 rows take the byte path of closed_under, whose tables each
+    # spawned worker builds for itself.
+    assert_spawned_pool_matches_serial(
+        monkeypatch, width=8, mode="random", sample_count=40, generator_count=3, seed=5
+    )
 
 
 def test_campaign_random_mode_deterministic():
@@ -324,10 +337,9 @@ BROKEN_STEPS = {
 }
 
 
-@pytest.mark.parametrize("theorem", THEOREM_NAMES)
-def test_every_theorem_check_can_fail(theorem, tmp_path, monkeypatch):
-    owner, attribute, replacement = BROKEN_STEPS[theorem]
-    monkeypatch.setattr(owner, attribute, replacement)
+def assert_counted_failure_and_reproducer(theorem, tmp_path, monkeypatch):
+    """A width-2 campaign counts a failure of theorem, and the CLI run
+    exits 1 and dumps a reproducer that names it; returns its header."""
     cfg = CampaignConfig(width=2, mode="exhaustive")
     total = _merge([_run_chunk(c) for c in _chunk_args(cfg)])
     assert total["theorems"][theorem]["failed"] > 0
@@ -337,7 +349,26 @@ def test_every_theorem_check_can_fail(theorem, tmp_path, monkeypatch):
     assert result.exit_code == 1
     dumped = sorted(tmp_path.glob(f"repro-{theorem}-*.bm"))
     assert dumped
-    assert reproducer_header(dumped[0].read_text())["theorem"] == theorem
+    header = reproducer_header(dumped[0].read_text())
+    assert header["theorem"] == theorem
+    return header
+
+
+@pytest.mark.parametrize("theorem", THEOREM_NAMES)
+def test_every_theorem_check_can_fail(theorem, tmp_path, monkeypatch):
+    owner, attribute, replacement = BROKEN_STEPS[theorem]
+    monkeypatch.setattr(owner, attribute, replacement)
+    assert_counted_failure_and_reproducer(theorem, tmp_path, monkeypatch)
+
+
+def test_imp_implies_or_complement_side_can_fail(tmp_path, monkeypatch):
+    # BROKEN_STEPS breaks the direct OR side; here only the AND check on
+    # the complemented rows fails, and the disagreement is still caught.
+    monkeypatch.setattr(
+        witnesses, "closed_under", lambda table, values, present, mask: table != AND.table
+    )
+    header = assert_counted_failure_and_reproducer("imp_implies_or", tmp_path, monkeypatch)
+    assert header["message"] == "complement-side and direct OR-closure disagree"
 
 
 def test_pool_workers_are_clamped_to_the_chunk_count(monkeypatch):

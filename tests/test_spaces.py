@@ -28,9 +28,11 @@ from closurelab import (
 from closurelab.enumeration import _closed_mask_direct, _neg_closed
 from closurelab.errors import ParameterOutOfRange, PreconditionViolated
 from closurelab.operators import apply_values
+from closurelab.spaces import closed_under
 
 from conftest import (
     SEMANTICS,
+    apply_tuple,
     closed_oracle,
     closure_oracle,
     column_count_oracle,
@@ -94,7 +96,9 @@ def assert_kernel_matches_oracle(m: BinaryMatrix) -> None:
 
 @st.composite
 def generators(draw, max_rows=3):
-    width = draw(st.integers(1, 8))
+    # Widths up to 12, so both the byte path (width <= 8) and the image
+    # set path of closed_under meet the oracle.
+    width = draw(st.integers(1, 12))
     values = draw(
         st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=max_rows, unique=True)
     )
@@ -122,6 +126,36 @@ def test_kernel_matches_oracle_on_single_rows(m):
 @pytest.mark.parametrize("width", range(1, 9))
 def test_kernel_matches_oracle_on_the_full_space(width):
     assert_kernel_matches_oracle(BinaryMatrix.from_values(width, range(1 << width)))
+
+
+def test_closed_under_with_present_a_strict_superset():
+    # The topology gate passes the rows plus the empty row as present, so
+    # an image may land on a present row that is not among the values.
+    # Present is the closure of the values plus the empty row and random
+    # extra rows, and then the closure with one row that is not a value
+    # taken out.
+    rng = random.Random(8)
+    outcomes = []
+    for width in range(1, 13):
+        mask = (1 << width) - 1
+        for op in ALL_OPS:
+            for _ in range(8):
+                gens = random_distinct_matrix(rng, width, rng.randint(1, min(3, 1 << width)))
+                values = gens.row_values
+                closed = set(closure(gens, op).row_values)
+                extras = {rng.randrange(1 << width) for _ in range(rng.randint(0, 3))}
+                outside = sorted(closed - set(values))
+                cases = [closed | extras | {0}]
+                if outside:
+                    cases.append(closed - {rng.choice(outside)})
+                rows = matrix_tuples(gens)
+                for present in cases:
+                    kept = set(matrix_tuples(BinaryMatrix.from_values(width, present)))
+                    expected = all(apply_tuple(op.output, a, b) in kept for a in rows for b in rows)
+                    got = closed_under(op.table, values, present, mask)
+                    assert got == expected, (width, op, values, present)
+                    outcomes.append(expected)
+    assert True in outcomes and False in outcomes
 
 
 def test_projection_closure_of_many_rows_within_budget():
