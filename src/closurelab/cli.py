@@ -23,7 +23,6 @@ from .bitcore import (
     column_sum,
     format_family,
     format_matrix,
-    matrix_to_family,
     parse_any,
 )
 from .enumeration import _CLOSED_NAMES, CampaignConfig, _closed_mask_direct, run_campaign
@@ -55,26 +54,23 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, source: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
         return Path(path).read_text()
     except OSError as exc:
         _fail(2, str(exc))
+    except UnicodeDecodeError as exc:
+        _fail(2, f"{source}: {exc}")
 
 
 def _load_any(path: str) -> BinaryMatrix:
     source = "<stdin>" if path == "-" else path
     try:
-        return parse_any(_read_text(path), source)
+        return parse_any(_read_text(path, source), source)
     except ParseError as exc:
         _fail(2, str(exc))
-
-
-def _load_family(path: str) -> SetFamily:
-    data = _load_any(path)
-    return data if isinstance(data, SetFamily) else matrix_to_family(data)
 
 
 def _emit(text: str, output: str | None):
@@ -258,14 +254,14 @@ _WITNESSES = {t.verb: t.witness for t in THEOREMS if t.verb}
 def witness_cmd(operator, input, fmt, output):
     """Certified column (or element) covering at least half the rows."""
     witness = _WITNESSES[operator]
+    m = _load_any(input)
     try:
         if operator == "topology":
-            # The one family verb: its certificate names an element.
-            family = _load_family(input)
-            column = witness(family)
-            ones, n = column_sum(family, column), family.n_rows
+            # Its certificate names an element, not a column.
+            column = witness(m)
+            ones, n = column_sum(m, column), m.n_rows
         else:
-            w = witness(_load_any(input))
+            w = witness(m)
             column, ones, n = w.column, w.ones, w.total_rows
     except _VERIFY_ERRORS as exc:
         _fail(1, str(exc))

@@ -1,7 +1,8 @@
 """Constructive column witnesses for every closure theorem.
 
-Each operation re-traces one proof on a concrete matrix and returns a
-certificate naming a column (or element) whose ones count is at least
+Each operation re-traces one proof on the packed rows of a matrix (the
+topology witness reads them as subsets, columns as elements) and returns
+a certificate naming a column (or element) whose ones count is at least
 half the rows, re-verified by independent recount before returning.
 A failed hypothesis raises PreconditionViolated; a failed internal step
 raises VerificationFailed and means a bug, since the theorems guarantee
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .basis import _tilde_closure_core, compute_basis, decompose
-from .bitcore import BinaryMatrix, SetFamily, column_sum, matrix_to_family
+from .basis import _tilde_closure_core, compute_basis
+from .bitcore import BinaryMatrix, column_sum
 from .errors import (
     AllEmpty,
     GroupAxiomFailed,
@@ -151,7 +152,7 @@ def _group_core(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
     values = set(m.row_values)
     mask = (1 << m.width) - 1
     n = m.n_rows
-    identity = 0 if op is XOR else mask
+    identity = 0 if op == XOR else mask
     # Closure over ordered pairs includes the diagonal, so the identity
     # must already be present; kept as an internal assertion.
     if identity not in values:
@@ -170,15 +171,17 @@ def _group_core(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
     raise VerificationFailed("no column reaches half the rows in a group-closed set")
 
 
-def topology_witness(f: SetFamily) -> int:
+def topology_witness(m: BinaryMatrix) -> int:
     """Element contained in at least half the members of a family closed
     under union and (nonempty) intersection.
 
-    Take the minimal-cardinality nonempty member that is lexicographically
-    smallest among ties. Every member either contains it or misses it
-    entirely; joining it to the members that miss it embeds them
-    injectively into the members that contain it, so its elements appear
-    in at least half the family. Returns the smallest such element.
+    Any matrix qualifies, its rows read as members and column j as
+    element j. Take the minimal-cardinality nonempty member that is
+    lexicographically smallest among ties. Every member either contains
+    it or misses it entirely; joining it to the members that miss it
+    embeds them injectively into the members that contain it, so its
+    elements appear in at least half the family. Returns the smallest
+    such element.
 
     Families whose pairwise intersections may be empty without the empty
     set being a member still qualify; only the closure that can be
@@ -186,21 +189,20 @@ def topology_witness(f: SetFamily) -> int:
     """
     # Union is OR of the rows; a nonempty intersection is an AND image
     # other than the empty row 0, so AND closure that admits 0 decides it.
-    values = f.row_values
-    unions = is_closed(f, OR)
-    meets = closed_under(AND.table, values, {*values, 0}, (1 << f.width) - 1)
+    values = m.row_values
+    unions = is_closed(m, OR)
+    meets = closed_under(AND.table, values, {*values, 0}, (1 << m.width) - 1)
     not_unions = "family is not closed under union"
     not_meets = "family is not closed under nonempty intersection"
     if not unions and not meets:
         # Both fail: the first failing pair in member order names the check.
-        members = f.members()
-        member_set = set(members)
-        for a in members:
-            for b in members:
-                if a | b not in member_set:
+        present = set(values)
+        for a in values:
+            for b in values:
+                if a | b not in present:
                     raise PreconditionViolated(not_unions)
                 meet = a & b
-                if meet and meet not in member_set:
+                if meet and meet not in present:
                     raise PreconditionViolated(not_meets)
     if not unions:
         raise PreconditionViolated(not_unions)
@@ -208,19 +210,21 @@ def topology_witness(f: SetFamily) -> int:
         raise PreconditionViolated(not_meets)
     if not any(values):
         raise AllEmpty("every member is the empty set; no element exists")
-    return _topology_core(f)
+    return _topology_core(m)
 
 
-def _topology_core(f: SetFamily) -> int:
-    members = f.members()
-    n = len(members)
-    b = min((s for s in members if s), key=lambda s: (len(s), tuple(sorted(s))))
+def _topology_core(m: BinaryMatrix) -> int:
+    values = m.row_values
+    n = len(values)
+    # Element 1 is the top bit, so among members of one size the
+    # lexicographically smallest sorted elements is the largest value.
+    b = min((v for v in values if v), key=lambda v: (v.bit_count(), -v))
     contains = []
     misses = []
-    for a in members:
-        if b <= a:
+    for a in values:
+        if a & b == b:
             contains.append(a)
-        elif not b & a:
+        elif not a & b:
             misses.append(a)
         else:
             raise VerificationFailed("a member neither contains nor misses the minimal set")
@@ -229,8 +233,8 @@ def _topology_core(f: SetFamily) -> int:
         raise VerificationFailed("join map is not an injection into the containing members")
     if len(misses) > len(contains):
         raise VerificationFailed("containing side is smaller than the missing side")
-    element = min(b)
-    count = sum(1 for s in members if element in s)
+    element = m.width - b.bit_length() + 1  # b's smallest element
+    count = column_sum(m, element)
     if count != len(contains) or 2 * count < n:
         raise VerificationFailed(f"element {element} recount gave {count} of {n}")
     return element
@@ -262,23 +266,24 @@ def _conditional_core(m: BinaryMatrix) -> FranklWitness:
         # column works.
         return _recount(m, 1)
 
-    v1 = basis.vectors[0]
+    # A row's decomposition (verified by compute_basis) uses v1 iff it covers v1.
+    v1 = basis.vectors[0].value
     users = []
     others = []
-    for row in tilde.rows:
-        if 1 in decompose(row, basis).index_set:
-            users.append(row.value)
+    for u in tilde.row_values:
+        if u & v1 == v1:
+            users.append(u)
         else:
-            others.append(row.value)
+            others.append(u)
     if not users:
         raise VerificationFailed("first basis vector is not used by any row")
     if len(users) > len(others):
         raise VerificationFailed("v1 users outnumber non-users")
-    stripped = {u & ~v1.value for u in users}
+    stripped = {u & ~v1 for u in users}
     if len(stripped) != len(users) or not stripped <= set(others):
         raise VerificationFailed("stripping v1 is not an injection into the non-users")
 
-    t = next(j for j in range(1, m.width + 1) if v1.bit(j))
+    t = m.width - v1.bit_length() + 1  # v1's first column
     if column_sum(tilde, t) != len(users):
         raise VerificationFailed("tilde column count disagrees with the v1-user count")
     ones = column_sum(m, t)
@@ -349,8 +354,5 @@ THEOREMS = (
     Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core, None),
     # The campaign hypothesis is AND and OR; the public witness gates on
     # the weaker union and nonempty-intersection closure of the family.
-    Theorem(
-        "topology", "topology", (AND, OR), lambda m: _topology_core(matrix_to_family(m)),
-        topology_witness,
-    ),
+    Theorem("topology", "topology", (AND, OR), _topology_core, topology_witness),
 )

@@ -221,6 +221,7 @@ TWINS = {
     "basis": ("01\n10\n11\n", "ground 2\n2\n1\n1 2\n"),
     "imp": ("10\n11\n", "ground 2\n1\n1 2\n"),
     "topology": ("00\n10\n11\n", "ground 2\n-\n1\n1 2\n"),
+    "no_union": ("100\n010\n", "ground 3\n1\n2\n"),
 }
 TWIN_VERBS = [
     ["check-closure"],
@@ -245,6 +246,9 @@ def test_family_and_matrix_inputs_give_the_same_output(tmp_path):
                 name, verb)
             exit_codes.add(from_bm.exit_code)
     assert exit_codes == {0, 1}
+    for name in ("no_union.bm", "no_union.fam"):
+        result = invoke("witness", "topology", str(tmp_path / name))
+        assert (result.exit_code, result.output) == (1, "error: family is not closed under union\n")
 
 
 def test_campaign_cli():
@@ -271,6 +275,15 @@ def test_parse_error_exit_and_line(tmp_path):
 
 def test_missing_file_exit():
     assert invoke("psi", "/nonexistent/nowhere.bm").exit_code == 2
+
+
+def test_non_utf8_input_exits_2(tmp_path):
+    path = tmp_path / "bad.bm"
+    path.write_bytes(b"\xff01\n")
+    for source, args, stdin in ((str(path), [str(path)], None), ("<stdin>", ["-"], b"\xff01\n")):
+        result = invoke("psi", *args, stdin=stdin)
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {source}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_output_to_file(tmp_path):

@@ -12,11 +12,14 @@ from closurelab import (
     XNOR,
     XOR,
     BinaryMatrix,
+    BoolOp,
     FranklWitness,
     SetFamily,
     closure,
     column_sum,
+    compute_basis,
     conditional_witness,
+    decompose,
     group_witness,
     imp_implies_or_closed,
     is_closed,
@@ -24,6 +27,7 @@ from closurelab import (
     negation_witness,
     op_name,
     parse_matrix,
+    parse_op,
     random_space,
     sheffer_reduction,
     tilde_matrix,
@@ -162,6 +166,18 @@ def test_group_witness_preconditions():
         group_witness(parse_matrix("00\n"), AND)
 
 
+def test_group_witness_accepts_an_equal_operator():
+    # Operators are equal by truth table: a fresh BoolOp(6) is XOR, 9 is XNOR.
+    xor_space = parse_matrix("000\n011\n101\n110\n")
+    xnor_space = parse_matrix("111\n100\n010\n001\n")
+    for op, m, named in (
+        (BoolOp(6), xor_space, XOR),
+        (parse_op("tt:6"), xor_space, XOR),
+        (BoolOp(9), xnor_space, XNOR),
+    ):
+        assert group_witness(m, op) == group_witness(m, named)
+
+
 def test_xor_closed_contains_zero_row():
     rng = random.Random(303)
     for _ in range(40):
@@ -238,6 +254,44 @@ def test_topology_witness_random_lattices():
         topology_recount(f, element)
 
 
+def topology_member_rule(m):
+    """The rule on frozenset members: the smallest nonempty member by
+    (size, sorted elements), its smallest element, and that element's count."""
+    members = matrix_to_family(m).members()
+    b = min((s for s in members if s), key=lambda s: (len(s), tuple(sorted(s))))
+    element = min(b)
+    return element, sum(1 for s in members if element in s)
+
+
+def and_or_closed_families():
+    """Every non-zero AND- and OR-closed family of width <= 3, one whose
+    smallest value is not the chosen member, and seeded closures at widths 4-8."""
+    for width in (1, 2, 3):
+        for values in all_families(width):
+            m = family_matrix(width, values)
+            if m.non_zero and is_closed(m, AND) and is_closed(m, OR):
+                yield m
+    yield parse_matrix("0000\n0011\n1100\n1111\n")  # {3, 4} ties {1, 2}
+    rng = random.Random(97)
+    for _ in range(80):
+        width = rng.randint(4, 8)
+        generators = rng.sample(range(1, 1 << width), rng.randint(1, 4))
+        # OR closure keeps AND closure: meets distribute over joins.
+        yield closure(closure(BinaryMatrix.from_values(width, generators), AND), OR)
+
+
+def test_topology_core_matches_the_member_rule():
+    ties = 0
+    for m in and_or_closed_families():
+        assert is_closed(m, AND) and is_closed(m, OR)
+        element, count = topology_member_rule(m)
+        assert _topology_core(m) == topology_witness(m) == element, m
+        assert column_sum(m, element) == count
+        sizes = sorted(v.bit_count() for v in m.row_values if v)
+        ties += len(sizes) > 1 and sizes[0] == sizes[1]
+    assert ties > 1
+
+
 def topology_reference(f: SetFamily):
     """The pair-loop gate: the first failing pair names the check."""
     members = f.members()
@@ -299,6 +353,26 @@ def test_conditional_witness_single_ones_row():
     assert (w.ones, w.total_rows) == (1, 1)
 
 
+def test_conditional_split_matches_decompose():
+    # Users of v1 are the complemented rows whose decomposition has index
+    # 1; the witness is v1's first column and its ones are the non-users.
+    rng = random.Random(113)
+    split = 0
+    for _ in range(80):
+        m = random_space(rng.randint(1, 8), IMP, rng.randint(1, 3), rng)
+        tilde = tilde_matrix(m)
+        basis = compute_basis(tilde)
+        if not basis.vectors:
+            continue
+        split += 1
+        users = [row for row in tilde.rows if 1 in decompose(row, basis).index_set]
+        v1 = basis.vectors[0]
+        column = next(j for j in range(1, m.width + 1) if v1.bit(j))
+        w = conditional_witness(m)
+        assert (w.column, w.ones, w.total_rows) == (column, m.n_rows - len(users), m.n_rows)
+    assert split > 40
+
+
 def test_imp_closed_contains_all_ones_row():
     rng = random.Random(83)
     for _ in range(40):
@@ -348,8 +422,7 @@ def test_gated_witness_matches_its_core(theorem):
         if not m.non_zero or not meets_gate_hypothesis(theorem, m):
             continue
         seen += 1
-        public = theorem.witness(matrix_to_family(m) if theorem.verb == "topology" else m)
-        assert public == theorem.core(m), values
+        assert theorem.witness(m) == theorem.core(m), values
     assert seen
 
 
@@ -376,6 +449,6 @@ def test_gated_witness_still_rejects_a_failed_hypothesis(theorem):
     for text, message in GATE_FAILURES[theorem.verb]:
         m = parse_matrix(text)
         with pytest.raises(PreconditionViolated) as exc:
-            theorem.witness(matrix_to_family(m) if theorem.verb == "topology" else m)
+            theorem.witness(m)
         assert str(exc.value) == message
 
