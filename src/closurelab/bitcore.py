@@ -6,11 +6,32 @@ Reading a row's text as a binary literal therefore gives its stored
 value. A matrix stores its rows packed, as a tuple of such integers; a
 set family is a matrix whose rows are read as subsets, row k's column j
 marking element j. Columns and set elements are 1-based throughout.
+
+Large matrices go through C-level passes rather than a Python step per
+row:
+
+- parse_matrix checks the characters, the widths and the distinctness
+  of all rows with bulk calls (one translate of the whole text settles
+  the characters when it holds nothing but rows and newlines) and
+  converts them with one map; only text that fails a check goes through
+  the per-line loop that words the ParseError.
+- column_sums cuts the rows into bytes aligned on column 1 and counts
+  eight columns per byte offset at once: a 256-entry table spreads each
+  bit of a byte into its own counter field, wide enough for the row
+  count, so one sum of table entries per byte offset is eight column
+  counts side by side.
+- format_family reads a row's members from a table of element strings
+  per byte value and byte offset: at most ceil(width / 8) lookups and a
+  join per row.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,6 +47,12 @@ from .errors import (
 #: integers; everything in this package is desk scale (width <= 16 in
 #: practice), so one machine word is plenty.
 WIDTH_CAP = 64
+
+#: Per row byte count up to WIDTH_CAP / 8, the typecode of the smallest
+#: unsigned array item that holds that many bytes ("BHILQ" ascend in size).
+_UINT_CODES = {
+    n: next(c for c in "BHILQ" if array(c).itemsize >= n) for n in range(1, WIDTH_CAP // 8 + 1)
+}
 
 
 def _check_width(width) -> None:
@@ -189,9 +216,42 @@ def column_sum(m: BinaryMatrix, j: int) -> int:
     return sum((v >> shift) & 1 for v in m.row_values)
 
 
+def _row_bytes(width: int, values: Iterable[int]) -> list[bytes]:
+    """The rows' bytes, one bytes object per byte offset.
+
+    Each row is padded on the right to whole bytes, so bit 7 of byte
+    offset 0 is column 1 and bit 7 - k of offset t is column 8t + k + 1.
+    Entry i of every returned object belongs to row i.
+    """
+    n_bytes = (width + 7) // 8
+    pad = 8 * n_bytes - width
+    if pad:
+        values = map(int.__lshift__, values, repeat(pad))
+    if n_bytes == 1:
+        return [bytes(values)]
+    rows = array(_UINT_CODES[n_bytes], values)
+    if sys.byteorder == "little":
+        rows.byteswap()
+    data, size = rows.tobytes(), rows.itemsize
+    return [data[size - n_bytes + t :: size] for t in range(n_bytes)]
+
+
+@cache
+def _spread_table(field: int) -> list[int]:
+    """Per byte value, its bits spread into `field`-bit counters: bit
+    7 - k (column k + 1 of the byte) adds one to counter k."""
+    return [sum(((b >> (7 - k)) & 1) << (k * field) for k in range(8)) for b in range(256)]
+
+
 def column_sums(width: int, values: Sequence[int]) -> list[int]:
     """Number of ones in each column of the given rows, column 1 first."""
-    return [sum((v >> (width - j)) & 1 for v in values) for j in range(1, width + 1)]
+    field = len(values).bit_length() or 1
+    spread = _spread_table(field)
+    counters = 0
+    for t, column_bytes in enumerate(_row_bytes(width, values)):
+        counters |= sum(map(spread.__getitem__, column_bytes)) << (8 * field * t)
+    low = (1 << field) - 1
+    return [(counters >> (k * field)) & low for k in range(width)]
 
 
 # --- text formats ----------------------------------------------------------
@@ -212,8 +272,37 @@ def _significant_lines(text: str):
         yield lineno, line
 
 
+#: Deletes the characters of a row and the line break of a ".bm" text.
+_DROP_BITS = str.maketrans("", "", "01\n")
+
+
 def parse_matrix(text: str, source: str = "<input>") -> BinaryMatrix:
-    """Parse ".bm" text into a matrix."""
+    """Parse ".bm" text into a matrix.
+
+    The significant lines are checked in bulk: every character is '0' or
+    '1' (unlike int(line, 2), this rejects '0b', '_', signs and non-ASCII
+    digits), the first width is within the cap, every line has it, and
+    the rows are distinct. Text that fails any check goes to
+    _parse_matrix_lines, which finds and words the first error.
+    """
+    if text.translate(_DROP_BITS):
+        lines = [line for raw in text.splitlines() if (line := raw.strip()) and line[0] != "#"]
+        bits_only = not any(map(str.translate, lines, repeat(_DROP_BITS)))
+    else:  # nothing but rows and newlines: no comment, padding or CR
+        lines, bits_only = text.split(), True
+    if lines and bits_only:
+        width = len(lines[0])
+        if width <= WIDTH_CAP and set(map(len, lines)) == {width}:
+            try:
+                return BinaryMatrix(width, tuple(map(int, lines, repeat(2))))
+            except DuplicateRow:
+                pass
+    return _parse_matrix_lines(text, source)
+
+
+def _parse_matrix_lines(text: str, source: str) -> BinaryMatrix:
+    """Parse ".bm" text one line at a time, raising a ParseError that
+    names the first bad line."""
     seen: dict[int, int] = {}  # row value -> line, in row order
     width = None
     for lineno, line in _significant_lines(text):
@@ -283,16 +372,32 @@ def parse_family(text: str, source: str = "<input>") -> SetFamily:
     return SetFamily(ground, tuple(seen))
 
 
+@cache
+def _member_table(offset: int) -> list[str]:
+    """Per byte value at byte offset `offset` (see _row_bytes), the
+    elements its set bits stand for, each preceded by a space."""
+    return [
+        "".join(f" {8 * offset + k + 1}" for k in range(8) if (b >> (7 - k)) & 1)
+        for b in range(256)
+    ]
+
+
 def format_family(m: BinaryMatrix) -> str:
     """Format a matrix as ".fam" text, its rows read as subsets."""
-    out = [f"ground {m.width}\n"]
-    for v in m.row_values:
-        out.append(" ".join(map(str, _elements(m.width, v))) + "\n" if v else "-\n")
-    return "".join(out)
+    pieces = [
+        map(_member_table(t).__getitem__, column_bytes)
+        for t, column_bytes in enumerate(_row_bytes(m.width, m.row_values))
+    ]
+    lines = list(map(str.lstrip, map("".join, zip(*pieces))))
+    if 0 in m.row_values:  # rows are distinct: at most one empty member
+        lines[m.row_values.index(0)] = "-"
+    return f"ground {m.width}\n" + "\n".join(lines) + "\n"
 
 
 def parse_any(text: str, source: str = "<input>") -> BinaryMatrix:
     """Parse text as ".fam" if it carries a ground header, else as ".bm"."""
+    if "ground" not in text:
+        return parse_matrix(text, source)
     for _, line in _significant_lines(text):
         if line.split()[:1] == ["ground"]:
             return parse_family(text, source)

@@ -55,10 +55,10 @@ def _fail(code: int, message: str):
 
 
 def _read_text(path: str, source: str) -> str:
+    """The input's text, decoded strictly as UTF-8 from a file or stdin."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text()
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        return data.decode("utf-8")
     except OSError as exc:
         _fail(2, str(exc))
     except UnicodeDecodeError as exc:

@@ -25,6 +25,7 @@ from closurelab.errors import (
     WidthCapExceeded,
     WidthMismatch,
 )
+from closurelab.bitcore import column_sums
 
 from conftest import column_count_oracle, matrix_tuples
 
@@ -245,3 +246,162 @@ def test_fam_parse_errors():
 def test_parse_any_detects_format():
     assert isinstance(parse_any("ground 2\n1\n"), SetFamily)
     assert isinstance(parse_any("# c\n10\n"), BinaryMatrix)
+
+
+# --- bulk kernels against readable references --------------------------------
+
+
+def test_column_sums_match_the_oracle_across_field_widths():
+    # Row counts on each side of a counter-field boundary (255 | 256, and
+    # 1 | 2 | 3); rows may repeat, which column_sums must count as given.
+    rng = random.Random(1010)
+    for width in (1, 7, 8, 9, 16, 17, 64):
+        for n in (1, 2, 3, 255, 256, 257):
+            full = (1 << width) - 1
+            for values in ([rng.getrandbits(width) for _ in range(n)], [full] * n):
+                tuples = [tuple(map(int, format(v, f"0{width}b"))) for v in values]
+                expected = [column_count_oracle(tuples, j) for j in range(1, width + 1)]
+                assert column_sums(width, values) == expected, (width, n)
+
+
+def _reference_parse_matrix(text, source="<input>"):
+    """The one-line-at-a-time ".bm" parser that parse_matrix replaces."""
+    seen = {}
+    width = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if set(line) - {"0", "1"}:
+            raise ParseError(source, lineno, f"invalid row character in {line!r}")
+        if width is None:
+            width = len(line)
+            if width > WIDTH_CAP:
+                raise ParseError(source, lineno, f"row width {width} exceeds cap {WIDTH_CAP}")
+        elif len(line) != width:
+            raise ParseError(
+                source, lineno, f"row width {len(line)} differs from first row width {width}"
+            )
+        value = int(line, 2)
+        if value in seen:
+            raise ParseError(source, lineno, f"duplicate row {line} (first at line {seen[value]})")
+        seen[value] = lineno
+    if not seen:
+        raise ParseError(source, 0, "no matrix rows found")
+    return BinaryMatrix(width, tuple(seen))
+
+
+def _outcome(parse, text):
+    try:
+        m = parse(text, "case.bm")
+    except Exception as exc:  # the type and the message are the outcome
+        return type(exc), str(exc)
+    return m.width, m.row_values
+
+
+_BAD_ROWS = ("0b{}", "1_0", "+1", "-1", "١", "{}x", "0 1", "١{}", "{} {}")
+
+
+def _corrupt(rng, lines):
+    """One seeded corruption (or harmless rewrite) of a valid row list."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    row = lines[i]
+    kind = rng.randrange(10)
+    if kind == 0:
+        lines[i] = rng.choice(_BAD_ROWS).format(row[: len(row) // 2], row[len(row) // 2 :])
+    elif kind == 1:
+        lines[i] = row[:-1] if len(row) > 1 else row + "0"
+    elif kind == 2:
+        lines[i] = row + rng.choice("01")
+    elif kind == 3:
+        lines[rng.choice((0, i))] = "1" * 65
+    elif kind == 4:
+        lines.insert(rng.randrange(i, len(lines)) + 1, row)
+    elif kind == 5:
+        lines.insert(i, rng.choice(("# comment", "#", "  # indented", "")))
+    elif kind == 6:
+        lines[i] = rng.choice(("\t", " ", "\t ")) + row + rng.choice(("\t", " ", ""))
+    elif kind == 7:
+        return "\r\n".join(lines) + rng.choice(("\r\n", ""))
+    elif kind == 8:
+        lines = [rng.choice(("# only comments", "", "  "))]
+    else:
+        lines[i] = row.replace("1", rng.choice(("١", "2", "I")), 1)
+    return "\n".join(lines) + "\n"
+
+
+_ERROR_KINDS = (
+    "invalid row character",
+    "exceeds cap",
+    "differs from first row width",
+    "duplicate row",
+    "no matrix rows",
+)
+
+
+def test_parse_matrix_matches_the_per_line_reference_on_corruptions():
+    rng = random.Random(2024)
+    outcomes = set()
+    for case in range(600):
+        width = rng.choice((1, 2, 3, 5, 8, 13, 16, 64))
+        values = {rng.getrandbits(width) for _ in range(rng.randint(1, 20))}
+        text = _corrupt(rng, [format(v, f"0{width}b") for v in values])
+        new, ref = _outcome(parse_matrix, text), _outcome(_reference_parse_matrix, text)
+        assert new == ref, (case, text)
+        if ref[0] is ParseError:
+            outcomes.add(next(kind for kind in _ERROR_KINDS if kind in ref[1]))
+        else:
+            outcomes.add("parsed")
+    assert outcomes == {"parsed", *_ERROR_KINDS}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0b01\n",
+        "01\n0b1\n",
+        "10\n1_0\n",
+        "1\n+1\n",
+        "1\n-1\n",
+        "١\n",
+        "10\n1١\n",
+        "01\n011\n",
+        "0" * 65 + "\n",
+        "01\n" + "1" * 65 + "\n",
+        "01\n10\n# c\n\n01\n",
+        "011\n110\n011\n110\n",
+        "\t01\t\n# x\n10\r\n\r\n  11\n",
+        "01\r\n10\r\n",
+        "",
+        "\n\n",
+        "# nothing\n  # here\n",
+        "01\x0b10\n",
+        "01 10\n",
+    ],
+)
+def test_parse_matrix_named_corruptions(text):
+    assert _outcome(parse_matrix, text) == _outcome(_reference_parse_matrix, text)
+
+
+def _reference_format_family(m):
+    out = [f"ground {m.width}\n"]
+    for v in m.row_values:
+        members = [j for j in range(1, m.width + 1) if (v >> (m.width - j)) & 1]
+        out.append(" ".join(map(str, members)) + "\n" if v else "-\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("width", [1, 7, 9, 15, 17, 63, 64])
+def test_format_family_matches_the_element_reference(width):
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    extremes = [0, full, 1, 1 << (width - 1)]
+    for n in (1, 2, 5, 40):
+        values = list(dict.fromkeys(extremes + [rng.getrandbits(width) for _ in range(n)]))
+        rng.shuffle(values)
+        for m in (BinaryMatrix(width, tuple(values)), BinaryMatrix(width, tuple(values[:n]))):
+            text = format_family(m)
+            assert text == _reference_format_family(m)
+            assert parse_family(text) == matrix_to_family(m)
+    assert format_family(BinaryMatrix(width, (0,))) == f"ground {width}\n-\n"

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import closurelab
 from closurelab import parse_family, parse_matrix
 from closurelab.cli import cli
 
@@ -284,6 +289,24 @@ def test_non_utf8_input_exits_2(tmp_path):
         result = invoke("psi", *args, stdin=stdin)
         assert result.exit_code == 2
         assert result.output.startswith(f"error: {source}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_non_utf8_stdin_pipe_exits_2_like_a_file(tmp_path):
+    # A real pipe: the interpreter's own stdin decodes with surrogateescape
+    # in UTF-8 mode, unlike CliRunner's strict one.
+    path = tmp_path / "bad.bm"
+    path.write_bytes(b"\xff01\n10\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(closurelab.__file__).parents[1])}
+    decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    for source, arg in ((str(path), str(path)), ("<stdin>", "-")):
+        with path.open("rb") as stdin:
+            done = subprocess.run(
+                [sys.executable, "-X", "utf8", "-m", "closurelab.cli", "witness", "topology", arg],
+                stdin=stdin, capture_output=True, env=env, timeout=60,
+            )
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.decode() == f"error: {source}: {decode}\n"
 
 
 def test_output_to_file(tmp_path):
