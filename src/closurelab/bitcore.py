@@ -10,11 +10,11 @@ marking element j. Columns and set elements are 1-based throughout.
 Large matrices go through C-level passes rather than a Python step per
 row:
 
-- parse_matrix checks the characters, the widths and the distinctness
-  of all rows with bulk calls (one translate of the whole text settles
-  the characters when it holds nothing but rows and newlines) and
-  converts them with one map; only text that fails a check goes through
-  the per-line loop that words the ParseError.
+- parse_matrix checks text of nothing but rows and newlines in bulk:
+  one translate settles the characters, bulk calls the widths and the
+  distinctness, and one map converts the rows. Text with comments,
+  padding or CR, and text that fails a check, goes through the
+  per-line loop, which alone words the ParseError.
 - column_sums cuts the rows into bytes aligned on column 1 and counts
   eight columns per byte offset at once: a 256-entry table spreads each
   bit of a byte into its own counter field, wide enough for the row
@@ -47,13 +47,6 @@ from .errors import (
 #: integers; everything in this package is desk scale (width <= 16 in
 #: practice), so one machine word is plenty.
 WIDTH_CAP = 64
-
-#: Per row byte count up to WIDTH_CAP / 8, the typecode of the smallest
-#: unsigned array item that holds that many bytes ("BHILQ" ascend in size).
-_UINT_CODES = {
-    n: next(c for c in "BHILQ" if array(c).itemsize >= n) for n in range(1, WIDTH_CAP // 8 + 1)
-}
-
 
 def _check_width(width) -> None:
     if not isinstance(width, int) or width < 1:
@@ -227,9 +220,7 @@ def _row_bytes(width: int, values: Iterable[int]) -> list[bytes]:
     pad = 8 * n_bytes - width
     if pad:
         values = map(int.__lshift__, values, repeat(pad))
-    if n_bytes == 1:
-        return [bytes(values)]
-    rows = array(_UINT_CODES[n_bytes], values)
+    rows = array("Q", values)  # at least 8 bytes, enough for WIDTH_CAP bits
     if sys.byteorder == "little":
         rows.byteswap()
     data, size = rows.tobytes(), rows.itemsize
@@ -279,20 +270,18 @@ _DROP_BITS = str.maketrans("", "", "01\n")
 def parse_matrix(text: str, source: str = "<input>") -> BinaryMatrix:
     """Parse ".bm" text into a matrix.
 
-    The significant lines are checked in bulk: every character is '0' or
-    '1' (unlike int(line, 2), this rejects '0b', '_', signs and non-ASCII
-    digits), the first width is within the cap, every line has it, and
-    the rows are distinct. Text that fails any check goes to
-    _parse_matrix_lines, which finds and words the first error.
+    Text of nothing but rows and newlines is checked in bulk: one
+    translate settles that every character is '0' or '1' (unlike
+    int(line, 2), this rejects '0b', '_', signs and non-ASCII digits),
+    then the first width is within the cap, every line has it, and the
+    rows are distinct. Any other text, and text that fails a check, goes
+    to _parse_matrix_lines, which skips comments and blank lines and
+    words the first error.
     """
-    if text.translate(_DROP_BITS):
-        lines = [line for raw in text.splitlines() if (line := raw.strip()) and line[0] != "#"]
-        bits_only = not any(map(str.translate, lines, repeat(_DROP_BITS)))
-    else:  # nothing but rows and newlines: no comment, padding or CR
-        lines, bits_only = text.split(), True
-    if lines and bits_only:
-        width = len(lines[0])
-        if width <= WIDTH_CAP and set(map(len, lines)) == {width}:
+    if not text.translate(_DROP_BITS):
+        lines = text.split()
+        width = len(lines[0]) if lines else 0
+        if 0 < width <= WIDTH_CAP and set(map(len, lines)) == {width}:
             try:
                 return BinaryMatrix(width, tuple(map(int, lines, repeat(2))))
             except DuplicateRow:
