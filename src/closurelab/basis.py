@@ -66,9 +66,13 @@ def compute_basis(m: BinaryMatrix, order: str = "ascending") -> Basis:
     Closure under AND and ABJ guarantees the result verifies. The
     construction runs regardless and its output is checked, so a family
     that happens to have a basis without those closures (say 01, 10, 11)
-    still succeeds; when verification fails, PreconditionViolated points
-    at the missing closures, and BasisVerificationFailed signals a bug
-    (preconditions held yet the guaranteed construction broke).
+    still succeeds. The check is that the survivors are pairwise
+    orthogonal and that every row decomposes over them; a survivor the
+    removal pass left expressible would overlap the survivors it
+    dominates, so orthogonality covers it. When verification fails,
+    PreconditionViolated points at the missing closures, and
+    BasisVerificationFailed signals a bug (preconditions held yet the
+    guaranteed construction broke).
 
     The order argument ("ascending" or "descending" row value) is a test
     hook; both must produce the same basis set.
@@ -91,22 +95,13 @@ def compute_basis(m: BinaryMatrix, order: str = "ascending") -> Basis:
     basis_values = sorted(v for v in remaining if v != 0)
 
     failure = None
-    for r in basis_values:
-        dominated_or = 0
-        for other in remaining:
-            if other != r and other & r == other:
-                dominated_or |= other
-        if dominated_or == r:
-            failure = f"row {r:b} still expressible after the removal pass"
-            break
-    if failure is None:
-        for i, a in enumerate(basis_values):
-            for b in basis_values[i + 1 :]:
-                if a & b:
-                    failure = f"surviving rows {a:b} and {b:b} overlap"
-                    break
-            if failure:
+    for i, a in enumerate(basis_values):
+        for b in basis_values[i + 1 :]:
+            if a & b:
+                failure = f"surviving rows {a:b} and {b:b} overlap"
                 break
+        if failure:
+            break
     if failure is None:
         for v in m.row_values:
             ored = 0

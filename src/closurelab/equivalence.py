@@ -4,17 +4,29 @@ The canonical representative of a matrix is the lexicographically
 smallest matrix (rows read as binary numbers, concatenated top to
 bottom) reachable by permuting columns and then sorting rows. Two
 matrices are equivalent iff their canonical forms coincide.
+
+The same matrix is the least over row orders of the matrix with its
+columns sorted, and canonicalize finds it that way: it picks rows one
+at a time, branching only on rows that tie at the least next value and
+are not interchangeable by a symmetry of the row set, then recovers
+the column permutation with a column search that may only follow the
+canonical rows' prefixes. The worst case is still exponential in the
+width (tying rows that no twin columns relate), but symmetric sets
+such as whole spaces, identities and Boolean algebras take
+milliseconds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 from .bitcore import BinaryMatrix
 from .errors import WidthCapExceeded
 
-#: Canonicalization enumerates column permutations (with pruning); widths
-#: beyond this are refused rather than silently slow.
+#: The canonical search can branch on every column order in its worst
+#: case; widths beyond this are refused rather than silently slow.
 CANON_WIDTH_CAP = 12
 
 
@@ -48,14 +60,14 @@ def apply_permutations(
 
 
 def canonicalize(m: BinaryMatrix) -> CanonicalForm:
-    """Exact canonical form by branch and bound over column permutations.
+    """Exact canonical form by a greedy search over row orders.
 
-    Columns are placed left to right; a branch is cut when even the
-    all-zero completion of its sorted row prefixes already exceeds the
-    incumbent. Duplicate column patterns are tried only once per node
-    (they generate identical subtrees). Deterministic: candidates are
-    visited in ascending input-column order and the incumbent is only
-    replaced on strict improvement.
+    For a fixed row order the smallest matrix reachable by permuting
+    columns sorts the column vectors, so the canonical key is the
+    minimum over row orders of that column-sorted matrix. Rows are
+    picked left to right (see _min_key); col_perm is then the
+    lexicographically smallest column permutation reaching the key
+    (see _first_col_perm), and row_perm sorts the permuted rows.
     """
     w = m.width
     if w > CANON_WIDTH_CAP:
@@ -63,46 +75,174 @@ def canonicalize(m: BinaryMatrix) -> CanonicalForm:
     values = m.row_values
     n = len(values)
     colbits = [[(v >> (w - 1 - c)) & 1 for v in values] for c in range(w)]
-    colpattern = [tuple(col) for col in colbits]
-
-    best_key: tuple[int, ...] | None = None
-    best_perm: tuple[int, ...] = ()
-
-    def dfs(depth: int, prefixes: list[int], used: int, perm: list[int]):
-        nonlocal best_key, best_perm
-        if depth == w:
-            key = tuple(sorted(prefixes))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_perm = tuple(perm)
-            return
-        shift = w - depth - 1
-        tried = set()
-        for c in range(w):
-            if used & (1 << c) or colpattern[c] in tried:
-                continue
-            tried.add(colpattern[c])
-            bits = colbits[c]
-            newp = [(prefixes[i] << 1) | bits[i] for i in range(n)]
-            if best_key is not None:
-                # Lower bound: finish every row with zero bits.
-                if tuple(q << shift for q in sorted(newp)) > best_key:
-                    continue
-            perm.append(c)
-            dfs(depth + 1, newp, used | (1 << c), perm)
-            perm.pop()
-
-    dfs(0, [0] * n, 0, [])
+    col_perm = _first_col_perm(colbits, _min_key(w, values))
 
     permuted = []
     for i in range(n):
         v = 0
-        for c in best_perm:
+        for c in col_perm:
             v = (v << 1) | colbits[c][i]
         permuted.append(v)
     row_perm = tuple(sorted(range(n), key=permuted.__getitem__))
     canon = BinaryMatrix.from_values(w, sorted(permuted))
-    return CanonicalForm(canon, row_perm, best_perm)
+    return CanonicalForm(canon, row_perm, col_perm)
+
+
+def _twin_blocks(w: int, values: list[int]) -> list[int]:
+    """Classes of columns whose transposition maps the row set onto
+    itself, as bit masks over the row values.
+
+    Transpositions that preserve the set compose, so the relation is an
+    equivalence, and every permutation within a class preserves the set.
+    """
+    present = set(values)
+    blocks = []
+    unplaced = [1 << b for b in range(w)]
+    while unplaced:
+        first = unplaced.pop()
+        block, rest = first, []
+        for bit in unplaced:
+            both = first | bit
+            if all(v ^ both in present for v in values if (v & both).bit_count() == 1):
+                block |= bit
+            else:
+                rest.append(bit)
+        blocks.append(block)
+        unplaced = rest
+    return blocks
+
+
+def _min_key(w: int, values: tuple[int, ...]) -> list[int]:
+    """The rows of the least column-sorted matrix over all row orders,
+    which are the canonical rows: rows of complete weights first, then
+    the searched rows ascending.
+
+    Rows are chosen one at a time while the columns are kept as an
+    ordered partition: the classes of columns equal on the rows chosen
+    so far, zeros before ones. A row's value at the next position is
+    its pattern with each class sorted (its zeros, then its ones), and
+    that value stays fixed as later rows refine the classes. Only rows
+    tying at the least value can lead to the minimum, so only they are
+    branched on, and a branch that falls behind the best key found so
+    far is cut. Two tying rows are interchangeable, and only one is
+    tried, when they have the same number of ones in every class
+    intersected with every twin block: some permutation within those
+    intersections preserves the row set and the rows chosen so far and
+    maps one onto the other.
+
+    Tying rows differ within some class, so each branch refines the
+    partition and branches nest at most w deep. Between refinements the
+    row values do not change, so the rows are scored and sorted once per
+    partition and taken in order.
+
+    A weight whose every row is present (all C(w, k) rows of k ones)
+    maps onto itself under every column permutation, so those rows
+    take the same values whatever the order, and merging them into the
+    sorted rows of any order keeps the comparison between orders. They
+    are left out of the search and added to its result; this keeps
+    the singleton rows of an identity from being branched on in every
+    order.
+    """
+    weights = Counter(v.bit_count() for v in values)
+    full = {k for k, count in weights.items() if count == comb(w, k)}
+    fixed = [v for v in values if v.bit_count() in full]
+    searched = [v for v in values if v.bit_count() not in full]
+    blocks = _twin_blocks(w, searched)
+    best: list[int] = []
+
+    def keep(depth: int, low: int) -> bool:
+        # Records low at depth unless a branch already found a smaller key.
+        if depth < len(best):
+            if low > best[depth]:
+                return False
+            if low < best[depth]:
+                del best[depth:]
+        if depth == len(best):
+            best.append(low)
+        return True
+
+    def search(rows: list[int], classes: list[int], depth: int) -> None:
+        while rows:
+            sizes = [(c, c.bit_count()) for c in classes]
+            scored = []
+            for r in rows:
+                v = 0
+                for c, size in sizes:
+                    v = (v << size) | ((1 << (r & c).bit_count()) - 1)
+                scored.append((v, r))
+            scored.sort()
+            for i, (low, r) in enumerate(scored):
+                if not keep(depth, low):
+                    return
+                refined = _refine(classes, r)
+                tied = i + 1 < len(scored) and scored[i + 1][0] == low
+                if tied or len(refined) > len(classes):
+                    break
+                depth += 1
+            else:
+                return
+            rest = [x for _, x in scored[i:]]
+            cells = [c & b for c in classes for b in blocks if c & b]
+            picks = {}
+            for v, x in scored[i:]:
+                if v != low:
+                    break
+                picks.setdefault(tuple((x & cell).bit_count() for cell in cells), x)
+            if len(picks) > 1:
+                for x in picks.values():
+                    search([y for y in rest if y != x], _refine(classes, x), depth + 1)
+                return
+            rows, classes, depth = [y for y in rest if y != r], refined, depth + 1
+
+    search(searched, [(1 << w) - 1], 0)
+    return fixed + best
+
+
+def _refine(classes: list[int], r: int) -> list[int]:
+    """Split each class into its columns where r is 0, then where r is 1."""
+    refined = []
+    for c in classes:
+        if c & ~r:
+            refined.append(c & ~r)
+        if c & r:
+            refined.append(c & r)
+    return refined
+
+
+def _first_col_perm(colbits: list[list[int]], key: list[int]) -> tuple[int, ...]:
+    """The lexicographically smallest column permutation whose rows,
+    sorted, equal the sorted key rows.
+
+    Columns are placed left to right in ascending input order, and a
+    placement is kept only while the sorted row prefixes equal the
+    key's prefixes; the first complete placement is the answer. Of
+    columns with equal patterns only the lowest unused one is tried,
+    since a later one gives the same matrix from a larger permutation.
+    """
+    w = len(colbits)
+    targets = [sorted(k >> (w - 1 - d) for k in key) for d in range(w)]
+    patterns = [tuple(col) for col in colbits]
+    perm: list[int] = []
+
+    def dfs(depth: int, prefixes: list[int], used: int) -> bool:
+        if depth == w:
+            return True
+        tried = set()
+        for c in range(w):
+            if used & (1 << c) or patterns[c] in tried:
+                continue
+            tried.add(patterns[c])
+            newp = [(p << 1) | b for p, b in zip(prefixes, colbits[c])]
+            if sorted(newp) != targets[depth]:
+                continue
+            perm.append(c)
+            if dfs(depth + 1, newp, used | (1 << c)):
+                return True
+            perm.pop()
+        return False
+
+    dfs(0, [0] * len(key), 0)
+    return tuple(perm)
 
 
 def are_equivalent(a: BinaryMatrix, b: BinaryMatrix) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .basis import _tilde_closure_core, compute_basis
-from .bitcore import BinaryMatrix, column_sum
+from .bitcore import BinaryMatrix, column_sum, column_sums
 from .errors import (
     AllEmpty,
     GroupAxiomFailed,
@@ -100,8 +100,8 @@ def _negation_core(m: BinaryMatrix) -> FranklWitness:
     lower = {v for v in values if not v & top}
     if {v ^ mask for v in lower} != upper:
         raise VerificationFailed("column-1 halves are not complements of each other")
-    for j in range(1, m.width + 1):
-        if 2 * column_sum(m, j) != n:
+    for j, ones in enumerate(column_sums(m.width, values), 1):
+        if 2 * ones != n:
             raise VerificationFailed(f"column {j} does not hold exactly half the ones")
     return _recount(m, 1)
 

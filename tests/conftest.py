@@ -3,7 +3,9 @@
 Everything here works on rows as plain tuples of 0/1 ints (extracted
 from the library objects only through their text rendering), so closure
 checks, column counts and canonical forms are recomputed by a second
-route that never touches the packed-integer implementation.
+route that never touches the packed-integer implementation. The one
+exception is canonical_form_oracle, the earlier column branch and bound
+kept as the reference for the whole CanonicalForm.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 from itertools import permutations
 
 from closurelab import BinaryMatrix, BitRow, make_matrix
+from closurelab.equivalence import CanonicalForm
 
 # Classical definitions of the ten named connectives on single bits.
 SEMANTICS = {
@@ -80,14 +83,82 @@ def column_count_oracle(rows, j) -> int:
 
 def canonical_key_oracle(m: BinaryMatrix) -> tuple:
     """Brute-force minimum over all column permutations, rows sorted."""
+    return _brute_force_canon(m)[0]
+
+
+def first_col_perm_oracle(m: BinaryMatrix) -> tuple[int, ...]:
+    """The lexicographically smallest column permutation (0-based)
+    reaching the brute-force canonical key."""
+    return _brute_force_canon(m)[1]
+
+
+def _brute_force_canon(m: BinaryMatrix) -> tuple[tuple, tuple[int, ...]]:
+    # permutations() yields in lexicographic order, and only a strictly
+    # smaller key replaces the incumbent.
     rows = matrix_tuples(m)
-    w = m.width
-    best = None
-    for perm in permutations(range(w)):
+    best = best_perm = None
+    for perm in permutations(range(m.width)):
         key = tuple(sorted(tuple(r[c] for c in perm) for r in rows))
         if best is None or key < best:
-            best = key
-    return best
+            best, best_perm = key, perm
+    return best, best_perm
+
+
+def canonical_form_oracle(m: BinaryMatrix) -> CanonicalForm:
+    """Exact canonical form by branch and bound over column permutations.
+
+    Columns are placed left to right; a branch is cut when even the
+    all-zero completion of its sorted row prefixes already exceeds the
+    incumbent. Duplicate column patterns are tried only once per node
+    (they generate identical subtrees). Deterministic: candidates are
+    visited in ascending input-column order and the incumbent is only
+    replaced on strict improvement, so col_perm is the lexicographically
+    smallest column permutation reaching the canonical key.
+    """
+    w = m.width
+    values = m.row_values
+    n = len(values)
+    colbits = [[(v >> (w - 1 - c)) & 1 for v in values] for c in range(w)]
+    colpattern = [tuple(col) for col in colbits]
+
+    best_key: tuple[int, ...] | None = None
+    best_perm: tuple[int, ...] = ()
+
+    def dfs(depth: int, prefixes: list[int], used: int, perm: list[int]):
+        nonlocal best_key, best_perm
+        if depth == w:
+            key = tuple(sorted(prefixes))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_perm = tuple(perm)
+            return
+        shift = w - depth - 1
+        tried = set()
+        for c in range(w):
+            if used & (1 << c) or colpattern[c] in tried:
+                continue
+            tried.add(colpattern[c])
+            bits = colbits[c]
+            newp = [(prefixes[i] << 1) | bits[i] for i in range(n)]
+            if best_key is not None:
+                # Lower bound: finish every row with zero bits.
+                if tuple(q << shift for q in sorted(newp)) > best_key:
+                    continue
+            perm.append(c)
+            dfs(depth + 1, newp, used | (1 << c), perm)
+            perm.pop()
+
+    dfs(0, [0] * n, 0, [])
+
+    permuted = []
+    for i in range(n):
+        v = 0
+        for c in best_perm:
+            v = (v << 1) | colbits[c][i]
+        permuted.append(v)
+    row_perm = tuple(sorted(range(n), key=permuted.__getitem__))
+    canon = BinaryMatrix.from_values(w, sorted(permuted))
+    return CanonicalForm(canon, row_perm, best_perm)
 
 
 def all_families(width):

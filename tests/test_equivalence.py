@@ -4,18 +4,27 @@ import pytest
 
 from closurelab import (
     ALL_OPS,
+    NAND,
     NEGATION,
+    XOR,
     BinaryMatrix,
     apply_permutations,
     are_equivalent,
     canonicalize,
+    closure,
     is_closed,
     parse_matrix,
     psi,
 )
+from closurelab.equivalence import CANON_WIDTH_CAP
 from closurelab.errors import WidthCapExceeded
 
-from conftest import canonical_key_oracle, random_distinct_matrix
+from conftest import (
+    canonical_form_oracle,
+    canonical_key_oracle,
+    first_col_perm_oracle,
+    random_distinct_matrix,
+)
 
 EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
 
@@ -129,3 +138,144 @@ def test_width_cap():
         canonicalize(wide)
     with pytest.raises(WidthCapExceeded):
         are_equivalent(wide, wide)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_canonical_form_matches_the_column_search_oracle(width):
+    # 250 seeded matrices per width, 2000 in all, of up to 14 rows.
+    rng = random.Random(1000 + width)
+    for _ in range(250):
+        m = random_distinct_matrix(rng, width, rng.randint(1, min(14, 1 << width)))
+        assert canonicalize(m) == canonical_form_oracle(m), m.row_values
+
+
+def _rotations(value, width):
+    mask = (1 << width) - 1
+    return {((value << k) | (value >> (width - k))) & mask for k in range(width)}
+
+
+def _fano_with_complements():
+    lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    points = [sum(1 << (6 - c) for c in line) for line in lines]
+    return points + [v ^ 0b1111111 for v in points]
+
+
+def _hamming_7_4():
+    generators = (0b1000110, 0b0100101, 0b0010011, 0b0001111)
+    words = set()
+    for code in range(16):
+        word = 0
+        for i, g in enumerate(generators):
+            if code >> i & 1:
+                word ^= g
+        words.add(word)
+    return sorted(words)
+
+
+STRUCTURED = {
+    "identity plus zero, width 8": (8, [0] + [1 << i for i in range(8)]),
+    "full width-6 space": (6, range(64)),
+    "2-subsets of 7": (7, [(1 << i) | (1 << j) for i in range(7) for j in range(i)]),
+    "rotations of 00010111 and 00000011": (8, _rotations(0b00010111, 8) | _rotations(0b11, 8)),
+    "rotations of 0001011 plus the singletons": (
+        7, _rotations(0b0001011, 7) | {1 << i for i in range(7)}
+    ),
+    "rotations of 00000101 minus one singleton": (
+        8, _rotations(0b101, 8) | {1 << i for i in range(1, 8)}
+    ),
+    "Fano plane plus complements": (7, _fano_with_complements()),
+    "Hamming [7,4] code": (7, _hamming_7_4()),
+    "all-duplicate columns": (8, [0, 0xFF]),
+    "one all-ones row": (8, [0xFF]),
+    "one row": (7, [0b1011001]),
+    "one column": (1, [1, 0]),
+    "one column, one row": (1, [1]),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_structured_sets_match_the_column_search_oracle(name):
+    width, values = STRUCTURED[name]
+    m = BinaryMatrix.from_values(width, sorted(values))
+    form = canonicalize(m)
+    assert form == canonical_form_oracle(m)
+    # Any reordering of the input gives the same canonical matrix.
+    rng = random.Random(name)
+    rp, cp = list(range(m.n_rows)), list(range(width))
+    rng.shuffle(rp)
+    rng.shuffle(cp)
+    assert canonicalize(apply_permutations(m, tuple(rp), tuple(cp))).matrix == form.matrix
+
+
+def _with_duplicate_columns(rng, width):
+    """Distinct rows over k <= width base columns, each output column a
+    copy of some base column, every base column used at least once."""
+    k = rng.randint(1, width)
+    base = rng.sample(range(1 << k), rng.randint(1, min(10, 1 << k)))
+    source = list(range(k)) + [rng.randrange(k) for _ in range(width - k)]
+    rng.shuffle(source)
+    return BinaryMatrix.from_values(
+        width,
+        [
+            sum(((b >> (k - 1 - s)) & 1) << (width - 1 - j) for j, s in enumerate(source))
+            for b in base
+        ],
+    )
+
+
+def test_col_perm_is_the_first_permutation_reaching_the_key():
+    # The rule perfbench's oracle checks: among all column permutations
+    # whose sorted rows equal the canonical matrix, col_perm is the
+    # lexicographically smallest.
+    rng = random.Random(53)
+    for i in range(240):
+        width = 1 + i % 6
+        m = _with_duplicate_columns(rng, width)
+        form = canonicalize(m)
+        assert form.col_perm == first_col_perm_oracle(m), m.row_values
+        assert canon_tuples(m) == canonical_key_oracle(m)
+
+
+def _nand_closed_128x10(rng):
+    # Seven atoms partitioning the ten columns; closing them under NAND
+    # gives every union of atoms.
+    columns = list(range(10))
+    rng.shuffle(columns)
+    cuts = [0, 2, 4, 6, 7, 8, 9, 10]
+    atoms = [sum(1 << c for c in columns[a:b]) for a, b in zip(cuts, cuts[1:])]
+    m = closure(BinaryMatrix.from_values(10, atoms), NAND)
+    assert m.n_rows == 128
+    return m
+
+
+def _xor_closed_at_the_cap(rng):
+    generators = BinaryMatrix.from_values(
+        CANON_WIDTH_CAP, rng.sample(range(1, 1 << CANON_WIDTH_CAP), 6)
+    )
+    m = closure(generators, XOR)
+    assert m.n_rows == 64
+    return m
+
+
+def test_large_inputs_are_invariant_under_shuffles():
+    # Inputs the column branch and bound could not finish quickly: it
+    # took tens of seconds on random 64x10 rows and on a NAND-closed
+    # 128x10 space.
+    rng = random.Random(59)
+    inputs = [
+        random_distinct_matrix(rng, 10, 64),
+        _nand_closed_128x10(rng),
+        BinaryMatrix.from_values(8, range(256)),
+        _xor_closed_at_the_cap(rng),
+    ]
+    for m in inputs:
+        form = canonicalize(m)
+        assert apply_permutations(m, form.row_perm, form.col_perm) == form.matrix
+        for _ in range(5):
+            rp, cp = list(range(m.n_rows)), list(range(m.width))
+            rng.shuffle(rp)
+            rng.shuffle(cp)
+            shuffled = apply_permutations(m, tuple(rp), tuple(cp))
+            again = canonicalize(shuffled)
+            assert again.matrix == form.matrix
+            assert apply_permutations(shuffled, again.row_perm, again.col_perm) == again.matrix
