@@ -12,15 +12,13 @@ are not interchangeable by a symmetry of the row set, then recovers
 the column permutation with a column search that may only follow the
 canonical rows' prefixes. The worst case is still exponential in the
 width (tying rows that no twin columns relate), but symmetric sets
-such as whole spaces, identities and Boolean algebras take
-milliseconds (the width-12 space of 4096 rows about 25 ms).
+such as whole spaces, identities and Boolean algebras stay fast: the
+width-8 space takes about 4 ms, the width-12 space about 0.1 s.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import comb
 
 from .bitcore import BinaryMatrix
 from .errors import WidthCapExceeded
@@ -114,8 +112,7 @@ def _twin_blocks(w: int, values: list[int]) -> list[int]:
 
 def _min_key(w: int, values: tuple[int, ...]) -> list[int]:
     """The rows of the least column-sorted matrix over all row orders,
-    which are the canonical rows: rows of complete weights first, then
-    the searched rows ascending.
+    which are the canonical rows in ascending order.
 
     Rows are chosen one at a time while the columns are kept as an
     ordered partition: the classes of columns equal on the rows chosen
@@ -134,20 +131,8 @@ def _min_key(w: int, values: tuple[int, ...]) -> list[int]:
     partition and branches nest at most w deep. Between refinements the
     row values do not change, so the rows are scored and sorted once per
     partition and taken in order.
-
-    A weight whose every row is present (all C(w, k) rows of k ones)
-    maps onto itself under every column permutation, so those rows
-    take the same values whatever the order, and merging them into the
-    sorted rows of any order keeps the comparison between orders. They
-    are left out of the search and added to its result; this keeps
-    the singleton rows of an identity from being branched on in every
-    order.
     """
-    weights = Counter(v.bit_count() for v in values)
-    full = {k for k, count in weights.items() if count == comb(w, k)}
-    fixed = [v for v in values if v.bit_count() in full]
-    searched = [v for v in values if v.bit_count() not in full]
-    blocks = _twin_blocks(w, searched)
+    blocks = _twin_blocks(w, list(values))
     best: list[int] = []
 
     def keep(depth: int, low: int) -> bool:
@@ -194,8 +179,8 @@ def _min_key(w: int, values: tuple[int, ...]) -> list[int]:
                 return
             rows, classes, depth = [y for y in rest if y != r], refined, depth + 1
 
-    search(searched, [(1 << w) - 1], 0)
-    return fixed + best
+    search(list(values), [(1 << w) - 1], 0)
+    return best
 
 
 def _refine(classes: list[int], r: int) -> list[int]:

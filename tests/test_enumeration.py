@@ -281,12 +281,12 @@ def reproducer_header(text: str) -> dict[str, str]:
 
 
 def test_campaign_failure_dumps_reproducer(tmp_path, monkeypatch):
-    def broken(matrix, column):
+    def broken(width, values):
         raise PreconditionViolated("injected failure")
 
-    # A step of the negation proof core; other cores count columns too,
-    # so the negation reproducer is picked out by name.
-    monkeypatch.setattr(witnesses, "column_sum", broken)
+    # The half-count step of the negation proof core, which the NAND and
+    # NOR reductions share, so the negation reproducer is picked out by name.
+    monkeypatch.setattr(witnesses, "column_sums", broken)
     cfg = CampaignConfig(width=1, mode="exhaustive", parallelism=1)
     with pytest.raises(CampaignFailure) as exc:
         run_campaign(cfg, dump_dir=tmp_path)
@@ -317,9 +317,9 @@ def _miscount_complements(width, values):
 
 #: Per theorem, one broken proof step: (owner, attribute, replacement).
 BROKEN_STEPS = {
-    "negation_lemma": (witnesses, "column_sum", lambda m, j: 0),
-    "nand_reduction": (witnesses, "column_sum", lambda m, j: 0),
-    "nor_reduction": (witnesses, "column_sum", lambda m, j: 0),
+    "negation_lemma": (witnesses, "column_sums", lambda width, values: [0] * width),
+    "nand_reduction": (witnesses, "column_sums", lambda width, values: [0] * width),
+    "nor_reduction": (witnesses, "column_sums", lambda width, values: [0] * width),
     "xnor_group": (witnesses, "apply_values", lambda table, a, b, mask: 1),
     "xor_group": (witnesses, "apply_values", lambda table, a, b, mask: 1),
     "topology": (witnesses, "column_sum", lambda m, j: 0),

@@ -34,7 +34,8 @@ from closurelab import (
     tilde_op,
     topology_witness,
 )
-from closurelab.errors import AllEmpty, PreconditionViolated
+from closurelab import witnesses
+from closurelab.errors import AllEmpty, PreconditionViolated, VerificationFailed
 from closurelab.witnesses import THEOREMS, _topology_core
 
 from conftest import (
@@ -83,6 +84,19 @@ def test_negation_witness_full_pairing():
 def test_negation_witness_precondition():
     with pytest.raises(PreconditionViolated):
         negation_witness(parse_matrix("10\n11\n"))
+
+
+def test_negation_core_reports_the_first_column_off_half(monkeypatch):
+    # Both checks of the core can fail on their own: the per-column half
+    # count names the first bad column, and the fresh recount stays.
+    m = parse_matrix("000\n111\n010\n101\n")
+    monkeypatch.setattr(witnesses, "column_sums", lambda width, values: [2, 1, 3])
+    with pytest.raises(VerificationFailed, match="^column 2 does not hold exactly half"):
+        negation_witness(m)
+    monkeypatch.undo()
+    monkeypatch.setattr(witnesses, "column_sum", lambda matrix, column: 0)
+    with pytest.raises(VerificationFailed, match="^column 1 recount gave 0 ones"):
+        negation_witness(m)
 
 
 def test_negation_closed_families_exhaustive():
