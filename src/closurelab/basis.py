@@ -53,64 +53,47 @@ def check_basis_preconditions(m: BinaryMatrix) -> bool:
     return is_closed(m, AND) and is_closed(m, ABJ)
 
 
-def compute_basis(m: BinaryMatrix, order: str = "ascending") -> Basis:
-    """Construct the unique basis of a row set.
+def compute_basis(m: BinaryMatrix) -> Basis:
+    """Find the unique basis of a row set: its atoms.
 
-    Repeatedly removes any row that is the OR of two or more other
-    remaining rows; the surviving nonzero rows form the basis. A row r
-    is so expressible iff the OR of all other remaining rows dominated
-    by r (rows r' with r' & r == r') equals r, which a single pass in
-    any candidate order detects exactly: removals never change any other
-    row's expressibility.
+    In a row set closed under AND and ABJ the basis is exactly the
+    atoms, the nonzero rows with no other nonzero row inside them. Two
+    atoms s and t are disjoint, since s & t is a row inside both, and
+    every row is the OR of the atoms inside it, since removing them
+    from it with ABJ would otherwise leave a nonzero row with no atom
+    inside.
 
-    Closure under AND and ABJ guarantees the result verifies. The
-    construction runs regardless and its output is checked, so a family
-    that happens to have a basis without those closures (say 01, 10, 11)
-    still succeeds. The check is that the survivors are pairwise
-    orthogonal and that every row decomposes over them; a survivor the
-    removal pass left expressible would overlap the survivors it
-    dominates, so orthogonality covers it. When verification fails,
-    PreconditionViolated points at the missing closures, and
-    BasisVerificationFailed signals a bug (preconditions held yet the
-    guaranteed construction broke).
+    One scan in ascending row order finds the atoms and checks the
+    basis: a row inside r is smaller than r, so every atom inside r is
+    found before r. A nonzero row with no atom inside it is an atom and
+    must miss every atom found so far; any other row must equal the OR
+    of the atoms inside it.
 
-    The order argument ("ascending" or "descending" row value) is a test
-    hook; both must produce the same basis set.
+    The scan runs regardless of closure, so a family that happens to
+    have a basis without it (say 01, 10, 11) still succeeds. When a
+    rule fails, PreconditionViolated points at the missing closures,
+    and BasisVerificationFailed signals a bug (preconditions held yet
+    the guaranteed construction broke).
     """
-    if order not in ("ascending", "descending"):
-        raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
-
-    remaining = set(m.row_values)
-    candidates = sorted(remaining, reverse=(order == "descending"))
-    for r in candidates:
-        if r == 0:
-            continue
-        dominated_or = 0
-        for other in remaining:
-            if other != r and other & r == other:
-                dominated_or |= other
-        if dominated_or == r:
-            remaining.discard(r)
-
-    basis_values = sorted(v for v in remaining if v != 0)
-
+    w = m.width
+    atoms: list[int] = []
     failure = None
-    for i, a in enumerate(basis_values):
-        for b in basis_values[i + 1 :]:
-            if a & b:
-                failure = f"surviving rows {a:b} and {b:b} overlap"
-                break
-        if failure:
+    for r in sorted(m.row_values):
+        inside = 0
+        for a in atoms:
+            if a & r == a:
+                inside |= a
+        if inside == r:
+            continue
+        if inside:
+            failure = f"row {r:0{w}b} does not decompose over the atoms inside it"
             break
-    if failure is None:
-        for v in m.row_values:
-            ored = 0
-            for b in basis_values:
-                if b & v == b:
-                    ored |= b
-            if ored != v:
-                failure = f"row {v:b} does not decompose over the survivors"
-                break
+        hit = next((a for a in atoms if a & r), None)
+        if hit is not None:
+            failure = f"atoms {hit:0{w}b} and {r:0{w}b} overlap"
+            break
+        atoms.append(r)
+
     if failure is not None:
         if not check_basis_preconditions(m):
             raise PreconditionViolated(
@@ -118,7 +101,7 @@ def compute_basis(m: BinaryMatrix, order: str = "ascending") -> Basis:
             )
         raise BasisVerificationFailed(failure)
 
-    return Basis(m.width, tuple(BitRow(m.width, v) for v in basis_values))
+    return Basis(w, tuple(BitRow(w, v) for v in atoms))
 
 
 def decompose(row: BitRow, basis: Basis) -> Decomposition:

@@ -227,21 +227,14 @@ def _theorem_runs(
     the 16-bit closure mask closed (negation is bit 3), and a non-zero
     matrix. Both are known here, so runners call the proof cores, which
     do not prove the hypothesis again; the cores share one matrix, built
-    on first use.
+    only when some hypothesis holds.
     """
     if not any(values):
         return []
-    cell: list[BinaryMatrix] = []
-
-    def mat() -> BinaryMatrix:
-        if not cell:
-            cell.append(BinaryMatrix.from_values(width, values))
-        return cell[0]
-
+    tables = [t for t, mask in _HYPOTHESIS_MASKS if closed & mask == mask]
+    m = BinaryMatrix.from_values(width, values) if tables else None
     runs: list[tuple[str, Callable[[], object]]] = [
-        (t.name, lambda core=t.core: core(mat()))
-        for t, mask in _HYPOTHESIS_MASKS
-        if closed & mask == mask
+        (t.name, functools.partial(t.core, m)) for t in tables
     ]
     # Checked on (width, values): a matrix per tiny exhaustive family
     # would cost more than the check itself.

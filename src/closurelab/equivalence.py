@@ -73,17 +73,11 @@ def canonicalize(m: BinaryMatrix) -> CanonicalForm:
     values = m.row_values
     n = len(values)
     colbits = [[(v >> (w - 1 - c)) & 1 for v in values] for c in range(w)]
-    col_perm = _first_col_perm(colbits, _min_key(w, values))
-
-    permuted = []
-    for i in range(n):
-        v = 0
-        for c in col_perm:
-            v = (v << 1) | colbits[c][i]
-        permuted.append(v)
+    key = _min_key(w, values)
+    col_perm = _first_col_perm(colbits, key)
+    permuted = apply_permutations(m, range(n), col_perm).row_values
     row_perm = tuple(sorted(range(n), key=permuted.__getitem__))
-    canon = BinaryMatrix.from_values(w, sorted(permuted))
-    return CanonicalForm(canon, row_perm, col_perm)
+    return CanonicalForm(BinaryMatrix.from_values(w, key), row_perm, col_perm)
 
 
 def _twin_blocks(w: int, values: list[int]) -> list[int]:

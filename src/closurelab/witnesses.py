@@ -165,8 +165,6 @@ def _group_core(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
     for j in range(1, m.width + 1):
         ones = column_sum(m, j)
         if 2 * ones >= n:
-            if ones < n - ones:
-                raise GroupAxiomFailed("witness column has fewer ones than zeros")
             return _recount(m, j)
     raise VerificationFailed("no column reaches half the rows in a group-closed set")
 
@@ -231,11 +229,9 @@ def _topology_core(m: BinaryMatrix) -> int:
     joined = {b | a for a in misses}
     if len(joined) != len(misses) or not joined <= set(contains):
         raise VerificationFailed("join map is not an injection into the containing members")
-    if len(misses) > len(contains):
-        raise VerificationFailed("containing side is smaller than the missing side")
     element = m.width - b.bit_length() + 1  # b's smallest element
     count = column_sum(m, element)
-    if count != len(contains) or 2 * count < n:
+    if count != len(contains):
         raise VerificationFailed(f"element {element} recount gave {count} of {n}")
     return element
 
@@ -288,7 +284,7 @@ def _conditional_core(m: BinaryMatrix) -> FranklWitness:
         raise VerificationFailed("tilde column count disagrees with the v1-user count")
     ones = column_sum(m, t)
     # Exact count flip between a matrix and its complement.
-    if ones != n - len(users) or 2 * len(users) > n:
+    if ones != n - len(users):
         raise VerificationFailed("count flip between matrix and complement failed")
     return _recount(m, t)
 

@@ -3,9 +3,11 @@
 Everything here works on rows as plain tuples of 0/1 ints (extracted
 from the library objects only through their text rendering), so closure
 checks, column counts and canonical forms are recomputed by a second
-route that never touches the packed-integer implementation. The one
-exception is canonical_form_oracle, the earlier column branch and bound
-kept as the reference for the whole CanonicalForm.
+route that never touches the packed-integer implementation. The two
+exceptions are canonical_form_oracle, the earlier column branch and
+bound kept as the reference for the whole CanonicalForm, and
+removal_basis_oracle, the earlier remove-expressible-rows construction
+kept as the reference for compute_basis.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from closurelab import BinaryMatrix, BitRow, make_matrix
+from closurelab import Basis, BinaryMatrix, BitRow, make_matrix
 from closurelab.equivalence import CanonicalForm
+from closurelab.errors import BasisVerificationFailed, PreconditionViolated
 
 # Classical definitions of the ten named connectives on single bits.
 SEMANTICS = {
@@ -159,6 +162,39 @@ def canonical_form_oracle(m: BinaryMatrix) -> CanonicalForm:
     row_perm = tuple(sorted(range(n), key=permuted.__getitem__))
     canon = BinaryMatrix.from_values(w, sorted(permuted))
     return CanonicalForm(canon, row_perm, best_perm)
+
+
+def removal_basis_oracle(m: BinaryMatrix, descending: bool = False) -> Basis:
+    """The basis by the paper's construction: remove every row that is
+    the OR of two or more other remaining rows, in ascending (or
+    descending) row order, then check that the surviving nonzero rows
+    are pairwise orthogonal and that every row decomposes over them.
+
+    A row is so expressible iff the OR of the other remaining rows it
+    dominates equals it. On failure it raises PreconditionViolated when
+    the rows are not closed under AND and ABJ (checked pair by pair),
+    else BasisVerificationFailed, as compute_basis does.
+    """
+    remaining = set(m.row_values)
+    for r in sorted(remaining, reverse=descending):
+        if r == 0:
+            continue
+        dominated_or = 0
+        for other in remaining:
+            if other != r and other & r == other:
+                dominated_or |= other
+        if dominated_or == r:
+            remaining.discard(r)
+    survivors = sorted(v for v in remaining if v != 0)
+
+    overlap = any(a & b for i, a in enumerate(survivors) for b in survivors[i + 1 :])
+    # Disjoint survivors: the sum of those a row dominates is their OR.
+    if overlap or any(v != sum(b for b in survivors if b & v == b) for v in m.row_values):
+        present = set(m.row_values)
+        if not all(a & b in present and a & ~b in present for a in present for b in present):
+            raise PreconditionViolated("no basis: rows are not closed under both AND and ABJ")
+        raise BasisVerificationFailed("the survivors are not an orthogonal basis")
+    return Basis(m.width, tuple(BitRow(m.width, v) for v in survivors))
 
 
 def all_families(width):

@@ -19,15 +19,20 @@ from closurelab import (
     tilde_closure_properties,
     tilde_matrix,
 )
-from closurelab.errors import NotDecomposable, PreconditionViolated, WidthMismatch
+from closurelab.errors import (
+    ClosureLabError,
+    NotDecomposable,
+    PreconditionViolated,
+    WidthMismatch,
+)
 
-from conftest import all_families, family_matrix
+from conftest import all_families, family_matrix, removal_basis_oracle
 
 EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
 
 
-def basis_strings(m, order="ascending"):
-    return [str(v) for v in compute_basis(m, order=order).vectors]
+def basis_strings(m):
+    return [str(v) for v in compute_basis(m).vectors]
 
 
 def test_simple_basis():
@@ -67,18 +72,16 @@ def test_basis_identical_under_both_removal_orders():
     for _ in range(200):
         space = random_space(rng.randint(2, 6), IMP, rng.randint(1, 3), rng)
         t = tilde_matrix(space)
-        asc = set(compute_basis(t, order="ascending").vectors)
-        desc = set(compute_basis(t, order="descending").vectors)
-        assert asc == desc
+        b = compute_basis(t)
+        assert b == removal_basis_oracle(t) == removal_basis_oracle(t, descending=True)
         checked += 1
     assert checked == 200
-    with pytest.raises(ValueError):
-        compute_basis(parse_matrix("01\n"), order="sideways")
 
 
 def test_basis_exhaustive_small_width():
-    # Every AND/ABJ-closed family of width 3: both orders agree, the
-    # basis is orthogonal, and every row decomposes back to itself.
+    # Every AND/ABJ-closed family of width 3: the removal construction
+    # in both orders agrees, the basis is orthogonal, and every row
+    # decomposes back to itself.
     count = 0
     for values in all_families(3):
         m = family_matrix(3, values)
@@ -86,7 +89,7 @@ def test_basis_exhaustive_small_width():
             continue
         count += 1
         b = compute_basis(m)
-        assert set(b.vectors) == set(compute_basis(m, order="descending").vectors)
+        assert b == removal_basis_oracle(m) == removal_basis_oracle(m, descending=True)
         vals = [v.value for v in b.vectors]
         assert all(a & c == 0 for i, a in enumerate(vals) for c in vals[i + 1 :])
         for row in m.rows:
@@ -96,6 +99,41 @@ def test_basis_exhaustive_small_width():
                 ored |= b.vectors[i - 1].value
             assert ored == row.value
     assert count > 10
+
+
+def test_basis_matches_removal_oracle_on_every_small_family():
+    # Every family of widths 1-4: the same basis as the removal
+    # construction, or the same exception type when there is none.
+    def outcome(fn, m):
+        try:
+            return fn(m)
+        except ClosureLabError as exc:
+            return type(exc)
+
+    with_basis = 0
+    families = 0
+    for width in (1, 2, 3, 4):
+        for values in all_families(width):
+            m = family_matrix(width, values)
+            got = outcome(compute_basis, m)
+            assert got == outcome(removal_basis_oracle, m), (width, values)
+            with_basis += isinstance(got, Basis)
+            families += 1
+    assert (with_basis, families) == (4632, 65808)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("01\n11\n", "row 11 does not decompose over the atoms inside it"),
+        ("001\n011\n", "row 011 does not decompose over the atoms inside it"),
+        ("0011\n0110\n", "atoms 0011 and 0110 overlap"),
+    ],
+)
+def test_basis_failure_names_rows_at_matrix_width(text, reason):
+    with pytest.raises(PreconditionViolated) as exc:
+        compute_basis(parse_matrix(text))
+    assert str(exc.value) == f"no basis: rows are not closed under both AND and ABJ ({reason})"
 
 
 def test_decompose_examples():

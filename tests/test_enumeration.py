@@ -332,21 +332,29 @@ BROKEN_STEPS = {
 }
 
 
-def assert_counted_failure_and_reproducer(theorem, tmp_path, monkeypatch):
-    """A width-2 campaign counts a failure of theorem, and the CLI run
-    exits 1 and dumps a reproducer that names it; returns its header."""
+def width_two_campaign_counts() -> dict:
     cfg = CampaignConfig(width=2, mode="exhaustive")
-    total = _merge([_run_chunk(c) for c in _chunk_args(cfg)])
-    assert total["theorems"][theorem]["failed"] > 0
+    return _merge([_run_chunk(c) for c in _chunk_args(cfg)])
 
+
+def assert_cli_dumps_reproducer(check, tmp_path, monkeypatch):
+    """The width-2 CLI campaign exits 1 and dumps a reproducer that
+    names check; returns its header."""
     monkeypatch.setenv("CLOSURELAB_DUMP_DIR", str(tmp_path))
     result = CliRunner().invoke(cli, ["campaign", "--width", "2"])
     assert result.exit_code == 1
-    dumped = sorted(tmp_path.glob(f"repro-{theorem}-*.bm"))
+    dumped = sorted(tmp_path.glob(f"repro-{check}-*.bm"))
     assert dumped
     header = reproducer_header(dumped[0].read_text())
-    assert header["theorem"] == theorem
+    assert header["theorem"] == check
     return header
+
+
+def assert_counted_failure_and_reproducer(theorem, tmp_path, monkeypatch):
+    """A width-2 campaign counts a failure of theorem, and the CLI run
+    exits 1 and dumps a reproducer that names it; returns its header."""
+    assert width_two_campaign_counts()["theorems"][theorem]["failed"] > 0
+    return assert_cli_dumps_reproducer(theorem, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("theorem", THEOREM_NAMES)
@@ -364,6 +372,15 @@ def test_imp_implies_or_complement_side_can_fail(tmp_path, monkeypatch):
     )
     header = assert_counted_failure_and_reproducer("imp_implies_or", tmp_path, monkeypatch)
     assert header["message"] == "complement-side and direct OR-closure disagree"
+
+
+def test_union_closed_frankl_check_can_fail(tmp_path, monkeypatch):
+    # Zero column sums break the half-membership check on every OR-closed
+    # family; the count flip, which reads the same sums, fails as well.
+    monkeypatch.setattr(enumeration, "column_sums", lambda width, values: [0] * width)
+    assert width_two_campaign_counts()["frankl"]["failures"] > 0
+    header = assert_cli_dumps_reproducer("union_closed_frankl", tmp_path, monkeypatch)
+    assert header["message"] == "no column reaches half the rows"
 
 
 def test_pool_workers_are_clamped_to_the_chunk_count(monkeypatch):
