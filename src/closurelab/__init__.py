@@ -12,7 +12,6 @@ from .basis import (
     check_basis_preconditions,
     compute_basis,
     decompose,
-    tilde_closure_properties,
 )
 from .bitcore import (
     WIDTH_CAP,
@@ -74,6 +73,7 @@ from .witnesses import (
     imp_implies_or_closed,
     negation_witness,
     sheffer_reduction,
+    tilde_closure_properties,
     topology_witness,
 )
 

@@ -17,7 +17,7 @@ from .errors import (
     PreconditionViolated,
     WidthMismatch,
 )
-from .operators import ABJ, AND, IMP, tilde_matrix
+from .operators import ABJ, AND, tilde_matrix
 from .spaces import is_closed
 
 
@@ -122,20 +122,6 @@ def decompose(row: BitRow, basis: Basis) -> Decomposition:
     if ored != row.value:
         raise NotDecomposable(f"row {row} is not an OR of basis vectors")
     return Decomposition(frozenset(indices))
-
-
-def tilde_closure_properties(m: BinaryMatrix) -> bool:
-    """For a conditional-closed matrix, whether the complemented rows
-    are closed under AND and under ABJ.
-
-    Being closed under the material conditional forces both (the
-    complement of a -> b is the abjunction of the complements, and
-    a and b = a and not (a and not b)); this runs the check anyway so
-    the claim is exercised computationally.
-    """
-    if not is_closed(m, IMP):
-        raise PreconditionViolated("rows are not closed under the material conditional")
-    return _tilde_closure_core(m)
 
 
 def _tilde_closure_core(m: BinaryMatrix) -> bool:

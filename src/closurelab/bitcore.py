@@ -320,8 +320,23 @@ def format_matrix(m: BinaryMatrix) -> str:
     return "".join(f"{v:0{m.width}b}\n" for v in m.row_values)
 
 
+#: Deletes ASCII digits, '-', space and tab: on tokens made of these
+#: characters alone, int() reads exactly what _decimal does.
+_DROP_DECIMAL = str.maketrans("", "", "0123456789- \t")
+
+
+def _decimal(token: str) -> int:
+    """int(token) for an optional '-' and ASCII digits only: no '+', '_'
+    or non-ASCII digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def parse_family(text: str, source: str = "<input>") -> SetFamily:
-    """Parse ".fam" text into a family."""
+    """Parse ".fam" text into a family; the ground size and the elements
+    are ASCII decimal integers."""
     lines = list(_significant_lines(text))
     if not lines:
         raise ParseError(source, 0, "no family content found")
@@ -330,7 +345,7 @@ def parse_family(text: str, source: str = "<input>") -> SetFamily:
     if len(parts) != 2 or parts[0] != "ground":
         raise ParseError(source, lineno, f'expected "ground <m>" header, got {header!r}')
     try:
-        ground = int(parts[1])
+        ground = _decimal(parts[1])
     except ValueError:
         raise ParseError(source, lineno, f"ground size {parts[1]!r} is not an integer") from None
     if ground < 1:
@@ -338,13 +353,15 @@ def parse_family(text: str, source: str = "<input>") -> SetFamily:
     if ground > WIDTH_CAP:
         raise ParseError(source, lineno, f"ground size {ground} exceeds cap {WIDTH_CAP}")
 
+    body = "".join(line for _, line in lines[1:])
+    to_int = int if body.isascii() and not body.translate(_DROP_DECIMAL) else _decimal
     seen: dict[int, int] = {}  # member value -> line, in member order
     for lineno, line in lines[1:]:
         value = 0
         if line != "-":
             for token in line.split():
                 try:
-                    e = int(token)
+                    e = to_int(token)
                 except ValueError:
                     raise ParseError(source, lineno, f"element {token!r} is not an integer") from None
                 if not 1 <= e <= ground:

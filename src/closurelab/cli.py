@@ -20,7 +20,6 @@ from .basis import compute_basis, decompose
 from .bitcore import (
     BinaryMatrix,
     SetFamily,
-    column_sum,
     format_family,
     format_matrix,
     parse_any,
@@ -87,6 +86,14 @@ def _emit_json(obj: dict, output: str | None):
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", output)
 
 
+def _emit_matrix(m: BinaryMatrix, fmt: str, output: str | None, **fields):
+    """The matrix as rows, or as JSON with its width, rows and fields."""
+    if fmt == "json":
+        _emit_json({"width": m.width, "rows": format_matrix(m).split(), **fields}, output)
+    else:
+        _emit(format_matrix(m), output)
+
+
 def _emit_kv(pairs: list[tuple[str, object]], output: str | None):
     _emit("".join(f"{k}: {v}\n" for k, v in pairs), output)
 
@@ -149,14 +156,7 @@ def close_cmd(input, op_text, fmt, output):
     """Fixed-point closure of the rows under an operator."""
     m = _load_any(input)
     op = _op_argument(op_text)
-    closed = closure(m, op)
-    if fmt == "json":
-        _emit_json(
-            {"op": op_name(op), "width": closed.width, "rows": format_matrix(closed).split()},
-            output,
-        )
-    else:
-        _emit(format_matrix(closed), output)
+    _emit_matrix(closure(m, op), fmt, output, op=op_name(op))
 
 
 @cli.command("psi")
@@ -200,18 +200,9 @@ def canon_cmd(input, fmt, output):
         form = canonicalize(m)
     except ClosureLabError as exc:
         _fail(2, str(exc))
-    if fmt == "json":
-        _emit_json(
-            {
-                "width": form.matrix.width,
-                "rows": format_matrix(form.matrix).split(),
-                "row_perm": list(form.row_perm),
-                "col_perm": list(form.col_perm),
-            },
-            output,
-        )
-    else:
-        _emit(format_matrix(form.matrix), output)
+    _emit_matrix(
+        form.matrix, fmt, output, row_perm=list(form.row_perm), col_perm=list(form.col_perm)
+    )
 
 
 @cli.command("basis")
@@ -253,23 +244,16 @@ _WITNESSES = {t.verb: t.witness for t in THEOREMS if t.verb}
 @_OUTPUT
 def witness_cmd(operator, input, fmt, output):
     """Certified column (or element) covering at least half the rows."""
-    witness = _WITNESSES[operator]
     m = _load_any(input)
     try:
-        if operator == "topology":
-            # Its certificate names an element, not a column.
-            column = witness(m)
-            ones, n = column_sum(m, column), m.n_rows
-        else:
-            w = witness(m)
-            column, ones, n = w.column, w.ones, w.total_rows
+        w = _WITNESSES[operator](m)
     except _VERIFY_ERRORS as exc:
         _fail(1, str(exc))
     cert = {
         "operator": operator,
-        "column_or_element": column,
-        "ones": ones,
-        "n": n,
+        "column_or_element": w.column,
+        "ones": w.ones,
+        "n": w.total_rows,
         "verified": True,
     }
     if fmt == "json":
@@ -308,13 +292,6 @@ def counterexample_block_cmd(n, k, fmt, output):
     except ClosureLabError as exc:
         _fail(2, str(exc))
     _emit_matrix(m, fmt, output)
-
-
-def _emit_matrix(m: BinaryMatrix, fmt: str, output: str | None):
-    if fmt == "json":
-        _emit_json({"width": m.width, "rows": format_matrix(m).split()}, output)
-    else:
-        _emit(format_matrix(m), output)
 
 
 @cli.command("campaign")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitcore import BinaryMatrix, BitRow
+from .bitcore import BinaryMatrix, BitRow, _decimal
 from .errors import WidthMismatch
 
 
@@ -104,7 +104,8 @@ def op_name(op: OpLike) -> str:
 
 
 def parse_op(text: str) -> OpLike:
-    """Parse an operator name (case-insensitive) or a raw "tt:<0-15>" form."""
+    """Parse an operator name (case-insensitive) or a raw "tt:<0-15>" form,
+    the table in ASCII decimal digits."""
     name = text.strip().lower()
     if name == "not":
         return NEGATION
@@ -112,7 +113,7 @@ def parse_op(text: str) -> OpLike:
         return _ALIASES[name]
     if name.startswith("tt:"):
         try:
-            table = int(name[3:])
+            table = _decimal(name[3:])
         except ValueError:
             table = -1
         if 0 <= table <= 15:

@@ -8,15 +8,15 @@ A failed hypothesis raises PreconditionViolated; a failed internal step
 raises VerificationFailed and means a bug, since the theorems guarantee
 success on every valid input.
 
-Every public witness is a gate followed by a core. The gate proves the
-hypothesis (closure under the theorem's operators, and a non-zero
-matrix where the statement needs one) and raises PreconditionViolated
-when it fails. The private core assumes the hypothesis and runs the
-proof. THEOREMS lists each theorem once: its name, its `closurelab
-witness` verb, the operators of its hypothesis, its core and its public
-witness. A campaign already knows every family's closures, so it checks
-a row's hypothesis from those bits and calls the core directly; the
-`witness` verb calls the public witness of the row named by its verb.
+THEOREMS lists each theorem once: its name, its `closurelab witness`
+verb, the operators of its hypothesis and its core. The private core
+assumes the hypothesis and runs the proof. Theorem.witness is the gate
+in front of it: closure under each hypothesis operator in order, then a
+non-zero matrix, each raising PreconditionViolated when it fails. A
+campaign reads the same hypothesis from its closure-mask bits and calls
+the core directly; the public witnesses and the `witness` verb call the
+row's Theorem.witness. Only the topology row gates on something weaker
+than its campaign hypothesis, and stores that gate on the row.
 """
 
 from __future__ import annotations
@@ -84,17 +84,13 @@ def negation_witness(m: BinaryMatrix) -> FranklWitness:
     pairing is checked explicitly on column 1: the rows with a leading 1
     are exactly the complements of the rows with a leading 0.
     """
-    if not is_closed(m, NEGATION):
-        raise PreconditionViolated("rows are not closed under negation")
-    return _negation_core(m)
+    return _THEOREM["negation_lemma"].witness(m)
 
 
 def _negation_core(m: BinaryMatrix) -> FranklWitness:
     values = m.row_values
     n = len(values)
     mask = (1 << m.width) - 1
-    if n % 2:
-        raise VerificationFailed(f"negation-closed set has odd size {n}")
     top = 1 << (m.width - 1)
     upper = {v for v in values if v & top}
     lower = {v for v in values if not v & top}
@@ -115,18 +111,7 @@ def sheffer_reduction(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
     """
     if op not in (NAND, NOR):
         raise ValueError(f"expected NAND or NOR, got {op_name(op)}")
-    if not is_closed(m, op):
-        raise PreconditionViolated(f"rows are not closed under {op_name(op)}")
-    return _sheffer_core(m)
-
-
-def _sheffer_core(m: BinaryMatrix) -> FranklWitness:
-    values = set(m.row_values)
-    mask = (1 << m.width) - 1
-    for v in m.row_values:
-        if v ^ mask not in values:
-            raise VerificationFailed("diagonal application did not yield a present negation")
-    return _negation_core(m)
+    return _THEOREM["nand_reduction" if op == NAND else "nor_reduction"].witness(m)
 
 
 def group_witness(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
@@ -141,11 +126,7 @@ def group_witness(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
     """
     if op not in (XOR, XNOR):
         raise ValueError(f"expected XOR or XNOR, got {op_name(op)}")
-    if not is_closed(m, op):
-        raise PreconditionViolated(f"rows are not closed under {op_name(op)}")
-    if not m.non_zero:
-        raise PreconditionViolated("the all-zero matrix is not a space")
-    return _group_core(m, op)
+    return _THEOREM["xor_group" if op == XOR else "xnor_group"].witness(m)
 
 
 def _group_core(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
@@ -185,6 +166,12 @@ def topology_witness(m: BinaryMatrix) -> int:
     set being a member still qualify; only the closure that can be
     satisfied is demanded.
     """
+    return _THEOREM["topology"].witness(m).column
+
+
+def _topology_gate(m: BinaryMatrix) -> None:
+    """Raise unless the family is closed under union and nonempty
+    intersection and has a nonempty member."""
     # Union is OR of the rows; a nonempty intersection is an AND image
     # other than the empty row 0, so AND closure that admits 0 decides it.
     values = m.row_values
@@ -208,10 +195,9 @@ def topology_witness(m: BinaryMatrix) -> int:
         raise PreconditionViolated(not_meets)
     if not any(values):
         raise AllEmpty("every member is the empty set; no element exists")
-    return _topology_core(m)
 
 
-def _topology_core(m: BinaryMatrix) -> int:
+def _topology_core(m: BinaryMatrix) -> FranklWitness:
     values = m.row_values
     n = len(values)
     # Element 1 is the top bit, so among members of one size the
@@ -230,10 +216,10 @@ def _topology_core(m: BinaryMatrix) -> int:
     if len(joined) != len(misses) or not joined <= set(contains):
         raise VerificationFailed("join map is not an injection into the containing members")
     element = m.width - b.bit_length() + 1  # b's smallest element
-    count = column_sum(m, element)
-    if count != len(contains):
-        raise VerificationFailed(f"element {element} recount gave {count} of {n}")
-    return element
+    witness = _recount(m, element)
+    if witness.ones != len(contains):
+        raise VerificationFailed(f"element {element} recount gave {witness.ones} of {n}")
+    return witness
 
 
 def conditional_witness(m: BinaryMatrix) -> FranklWitness:
@@ -245,11 +231,7 @@ def conditional_witness(m: BinaryMatrix) -> FranklWitness:
     into the non-users, so v1's columns carry ones in at most half the
     complemented rows, i.e. at least half the original rows.
     """
-    if not is_closed(m, IMP):
-        raise PreconditionViolated("rows are not closed under the material conditional")
-    if not m.non_zero:
-        raise PreconditionViolated("the all-zero matrix is not a space")
-    return _conditional_core(m)
+    return _THEOREM["material_conditional"].witness(m)
 
 
 def _conditional_core(m: BinaryMatrix) -> FranklWitness:
@@ -273,8 +255,6 @@ def _conditional_core(m: BinaryMatrix) -> FranklWitness:
             others.append(u)
     if not users:
         raise VerificationFailed("first basis vector is not used by any row")
-    if len(users) > len(others):
-        raise VerificationFailed("v1 users outnumber non-users")
     stripped = {u & ~v1 for u in users}
     if len(stripped) != len(users) or not stripped <= set(others):
         raise VerificationFailed("stripping v1 is not an injection into the non-users")
@@ -282,11 +262,23 @@ def _conditional_core(m: BinaryMatrix) -> FranklWitness:
     t = m.width - v1.bit_length() + 1  # v1's first column
     if column_sum(tilde, t) != len(users):
         raise VerificationFailed("tilde column count disagrees with the v1-user count")
-    ones = column_sum(m, t)
+    witness = _recount(m, t)
     # Exact count flip between a matrix and its complement.
-    if ones != n - len(users):
+    if witness.ones != n - len(users):
         raise VerificationFailed("count flip between matrix and complement failed")
-    return _recount(m, t)
+    return witness
+
+
+def tilde_closure_properties(m: BinaryMatrix) -> bool:
+    """For a conditional-closed matrix, whether the complemented rows
+    are closed under AND and under ABJ.
+
+    Being closed under the material conditional forces both (the
+    complement of a -> b is the abjunction of the complements, and
+    a and b = a and not (a and not b)); this runs the check anyway so
+    the claim is exercised computationally.
+    """
+    return _THEOREM["tilde_preconditions"].witness(m)
 
 
 def imp_implies_or_closed(m: BinaryMatrix) -> bool:
@@ -297,9 +289,7 @@ def imp_implies_or_closed(m: BinaryMatrix) -> bool:
     complement-side membership and the direct OR-closure are computed
     and compared.
     """
-    if not is_closed(m, IMP):
-        raise PreconditionViolated("rows are not closed under the material conditional")
-    return _imp_implies_or_core(m)
+    return _THEOREM["imp_implies_or"].witness(m)
 
 
 def _imp_implies_or_core(m: BinaryMatrix) -> bool:
@@ -320,35 +310,52 @@ def _imp_implies_or_core(m: BinaryMatrix) -> bool:
     return direct
 
 
+#: How a failed closure gate names an operator, where not by op_name.
+_GATE_NAMES = {NEGATION: "negation", IMP: "the material conditional"}
+
+
 @dataclass(frozen=True, slots=True)
 class Theorem:
     """One proved statement: rows closed under every hypothesis operator,
-    in a non-zero matrix, make the core's check pass."""
+    in a non-zero matrix, make the core's check pass. A row with a gate
+    runs it in place of the operator checks in witness(m)."""
 
     name: str
     verb: str | None  # `closurelab witness` verb, None when there is none
     hypothesis: tuple[OpLike, ...]
     core: Callable[[BinaryMatrix], object]
-    witness: Callable | None  # the gated public form behind the verb
+    gate: Callable[[BinaryMatrix], None] | None = None
+
+    def witness(self, m: BinaryMatrix) -> object:
+        """The core's result on m, or PreconditionViolated (or the gate's
+        error) naming the first part of the hypothesis m fails."""
+        if self.gate is not None:
+            self.gate(m)
+        else:
+            for op in self.hypothesis:
+                if not is_closed(m, op):
+                    name = _GATE_NAMES.get(op, op_name(op))
+                    raise PreconditionViolated(f"rows are not closed under {name}")
+        if not m.non_zero:
+            raise PreconditionViolated("the all-zero matrix is not a space")
+        return self.core(m)
 
 
 #: Rows in `closurelab witness` verb order; the campaign also runs them
 #: in this order.
 THEOREMS = (
-    Theorem("negation_lemma", "not", (NEGATION,), _negation_core, negation_witness),
-    Theorem("nand_reduction", "nand", (NAND,), _sheffer_core, lambda m: sheffer_reduction(m, NAND)),
-    Theorem("nor_reduction", "nor", (NOR,), _sheffer_core, lambda m: sheffer_reduction(m, NOR)),
-    Theorem(
-        "xor_group", "xor", (XOR,), lambda m: _group_core(m, XOR), lambda m: group_witness(m, XOR)
-    ),
-    Theorem(
-        "xnor_group", "xnor", (XNOR,), lambda m: _group_core(m, XNOR),
-        lambda m: group_witness(m, XNOR),
-    ),
-    Theorem("material_conditional", "imp", (IMP,), _conditional_core, conditional_witness),
-    Theorem("tilde_preconditions", None, (IMP,), _tilde_closure_core, None),
-    Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core, None),
+    Theorem("negation_lemma", "not", (NEGATION,), _negation_core),
+    # NAND or NOR of a row with itself is its negation.
+    Theorem("nand_reduction", "nand", (NAND,), _negation_core),
+    Theorem("nor_reduction", "nor", (NOR,), _negation_core),
+    Theorem("xor_group", "xor", (XOR,), lambda m: _group_core(m, XOR)),
+    Theorem("xnor_group", "xnor", (XNOR,), lambda m: _group_core(m, XNOR)),
+    Theorem("material_conditional", "imp", (IMP,), _conditional_core),
+    Theorem("tilde_preconditions", None, (IMP,), _tilde_closure_core),
+    Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core),
     # The campaign hypothesis is AND and OR; the public witness gates on
     # the weaker union and nonempty-intersection closure of the family.
-    Theorem("topology", "topology", (AND, OR), _topology_core, topology_witness),
+    Theorem("topology", "topology", (AND, OR), _topology_core, _topology_gate),
 )
+
+_THEOREM = {t.name: t for t in THEOREMS}

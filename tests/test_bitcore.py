@@ -243,6 +243,25 @@ def test_fam_parse_errors():
         parse_family("ground 3\n", "bad.fam")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ground 12\n1_0\n", "2: element '1_0' is not an integer"),
+        ("ground 3\n+2\n", "2: element '+2' is not an integer"),
+        ("ground 3\n1 \u0663\n", "2: element '\u0663' is not an integer"),
+        ("ground 3\n\uff12\n", "2: element '\uff12' is not an integer"),
+        ("ground +3\n1\n", "1: ground size '+3' is not an integer"),
+        ("ground 0_3\n1\n", "1: ground size '0_3' is not an integer"),
+        ("ground 3\n-1\n", "2: element -1 outside [1, 3]"),
+        ("ground 0\n1\n", "1: ground size must be positive, got 0"),
+    ],
+)
+def test_fam_parse_takes_ascii_decimal_digits_only(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_family(text, "bad.fam")
+    assert str(exc.value) == f"bad.fam:{message}"
+
+
 def test_parse_any_detects_format():
     assert isinstance(parse_any("ground 2\n1\n"), SetFamily)
     assert isinstance(parse_any("# c\n10\n"), BinaryMatrix)

@@ -278,6 +278,13 @@ def test_parse_error_exit_and_line(tmp_path):
     assert "bad.bm:2" in result.output
 
 
+def test_non_decimal_family_element_exit_and_line(tmp_path):
+    path = write(tmp_path, "bad.fam", "ground 12\n1_0\n")
+    result = invoke("psi", path)
+    assert result.exit_code == 2
+    assert result.output == f"error: {path}:2: element '1_0' is not an integer\n"
+
+
 def test_missing_file_exit():
     assert invoke("psi", "/nonexistent/nowhere.bm").exit_code == 2
 

@@ -181,6 +181,11 @@ def test_parse_op_names():
     for bad in ("nope", "tt:16", "tt:-1", "tt:x", ""):
         with pytest.raises(ValueError):
             parse_op(bad)
+    # Table numbers are ASCII decimal digits only, unlike int().
+    for bad in ("tt:1_5", "tt:+3", "tt:\u0663", "tt:\uff12"):
+        with pytest.raises(ValueError) as exc:
+            parse_op(bad)
+        assert str(exc.value) == f"unknown operator {bad!r}"
 
 
 def tables(*numbers):

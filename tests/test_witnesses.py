@@ -299,7 +299,7 @@ def test_topology_core_matches_the_member_rule():
     for m in and_or_closed_families():
         assert is_closed(m, AND) and is_closed(m, OR)
         element, count = topology_member_rule(m)
-        assert _topology_core(m) == topology_witness(m) == element, m
+        assert _topology_core(m).column == topology_witness(m) == element, m
         assert column_sum(m, element) == count
         sizes = sorted(v.bit_count() for v in m.row_values if v)
         ties += len(sizes) > 1 and sizes[0] == sizes[1]
@@ -319,7 +319,7 @@ def topology_reference(f: SetFamily):
                 raise PreconditionViolated("family is not closed under nonempty intersection")
     if not any(members):
         raise AllEmpty("every member is the empty set; no element exists")
-    return _topology_core(f)
+    return _topology_core(f).column
 
 
 def outcome(fn, f):
@@ -426,10 +426,14 @@ def meets_gate_hypothesis(theorem, m) -> bool:
     )
 
 
-@pytest.mark.parametrize("theorem", [t for t in THEOREMS if t.verb], ids=lambda t: t.verb)
+def theorem_id(theorem) -> str:
+    return theorem.verb or theorem.name
+
+
+@pytest.mark.parametrize("theorem", THEOREMS, ids=theorem_id)
 def test_gated_witness_matches_its_core(theorem):
     # Every non-zero width-3 family that meets the gate's hypothesis: the
-    # public witness (gate then core) and the core give one certificate.
+    # gated witness (gate then core) and the core give one result.
     seen = 0
     for values in all_families(3):
         m = family_matrix(3, values)
@@ -440,7 +444,8 @@ def test_gated_witness_matches_its_core(theorem):
     assert seen
 
 
-#: Per witness verb, rows that fail its gate and the message it raises.
+#: Per theorem (by verb, else name), rows that fail its gate and the
+#: message it raises.
 GATE_FAILURES = {
     "not": [("10\n11\n", "rows are not closed under negation")],
     "nand": [("01\n10\n", "rows are not closed under nand")],
@@ -451,6 +456,8 @@ GATE_FAILURES = {
     ],
     "xnor": [("110\n011\n", "rows are not closed under xnor")],
     "imp": [(EXAMPLE1, "rows are not closed under the material conditional")],
+    "tilde_preconditions": [(EXAMPLE1, "rows are not closed under the material conditional")],
+    "imp_implies_or": [(EXAMPLE1, "rows are not closed under the material conditional")],
     "topology": [
         ("100\n010\n", "family is not closed under union"),
         ("110\n011\n111\n", "family is not closed under nonempty intersection"),
@@ -458,9 +465,9 @@ GATE_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("theorem", [t for t in THEOREMS if t.verb], ids=lambda t: t.verb)
+@pytest.mark.parametrize("theorem", THEOREMS, ids=theorem_id)
 def test_gated_witness_still_rejects_a_failed_hypothesis(theorem):
-    for text, message in GATE_FAILURES[theorem.verb]:
+    for text, message in GATE_FAILURES[theorem_id(theorem)]:
         m = parse_matrix(text)
         with pytest.raises(PreconditionViolated) as exc:
             theorem.witness(m)
