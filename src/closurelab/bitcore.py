@@ -320,11 +320,6 @@ def format_matrix(m: BinaryMatrix) -> str:
     return "".join(f"{v:0{m.width}b}\n" for v in m.row_values)
 
 
-#: Deletes ASCII digits, '-', space and tab: on tokens made of these
-#: characters alone, int() reads exactly what _decimal does.
-_DROP_DECIMAL = str.maketrans("", "", "0123456789- \t")
-
-
 def _decimal(token: str) -> int:
     """int(token) for an optional '-' and ASCII digits only: no '+', '_'
     or non-ASCII digits."""
@@ -353,15 +348,13 @@ def parse_family(text: str, source: str = "<input>") -> SetFamily:
     if ground > WIDTH_CAP:
         raise ParseError(source, lineno, f"ground size {ground} exceeds cap {WIDTH_CAP}")
 
-    body = "".join(line for _, line in lines[1:])
-    to_int = int if body.isascii() and not body.translate(_DROP_DECIMAL) else _decimal
     seen: dict[int, int] = {}  # member value -> line, in member order
     for lineno, line in lines[1:]:
         value = 0
         if line != "-":
             for token in line.split():
                 try:
-                    e = to_int(token)
+                    e = _decimal(token)
                 except ValueError:
                     raise ParseError(source, lineno, f"element {token!r} is not an integer") from None
                 if not 1 <= e <= ground:

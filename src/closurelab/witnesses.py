@@ -216,10 +216,10 @@ def _topology_core(m: BinaryMatrix) -> FranklWitness:
     if len(joined) != len(misses) or not joined <= set(contains):
         raise VerificationFailed("join map is not an injection into the containing members")
     element = m.width - b.bit_length() + 1  # b's smallest element
-    witness = _recount(m, element)
-    if witness.ones != len(contains):
-        raise VerificationFailed(f"element {element} recount gave {witness.ones} of {n}")
-    return witness
+    ones = column_sum(m, element)
+    if ones != len(contains):
+        raise VerificationFailed(f"element {element} recount gave {ones} of {n}")
+    return FranklWitness(element, ones, n)
 
 
 def conditional_witness(m: BinaryMatrix) -> FranklWitness:
@@ -262,11 +262,11 @@ def _conditional_core(m: BinaryMatrix) -> FranklWitness:
     t = m.width - v1.bit_length() + 1  # v1's first column
     if column_sum(tilde, t) != len(users):
         raise VerificationFailed("tilde column count disagrees with the v1-user count")
-    witness = _recount(m, t)
+    ones = column_sum(m, t)
     # Exact count flip between a matrix and its complement.
-    if witness.ones != n - len(users):
+    if ones != n - len(users):
         raise VerificationFailed("count flip between matrix and complement failed")
-    return witness
+    return FranklWitness(t, ones, n)
 
 
 def tilde_closure_properties(m: BinaryMatrix) -> bool:

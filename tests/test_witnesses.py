@@ -400,6 +400,26 @@ def test_conditional_witness_precondition():
         conditional_witness(parse_matrix(EXAMPLE1))
 
 
+@pytest.mark.parametrize("wrong", ["zero", "all"])
+def test_exact_count_checks_fail_on_a_wrong_count(monkeypatch, wrong):
+    # The topology and conditional cores check the witness column's count
+    # on m exactly, so a count that still reaches half the rows fails too.
+    chain = parse_matrix("000\n100\n110\n111\n")
+    space = parse_matrix("10\n11\n")
+    true_sum = witnesses.column_sum
+
+    def miscount(matrix, column):
+        if matrix in (chain, space):
+            return 0 if wrong == "zero" else matrix.n_rows
+        return true_sum(matrix, column)
+
+    monkeypatch.setattr(witnesses, "column_sum", miscount)
+    with pytest.raises(VerificationFailed, match="^element 1 recount gave [04] of 4$"):
+        topology_witness(chain)
+    with pytest.raises(VerificationFailed, match="^count flip between matrix and complement"):
+        conditional_witness(space)
+
+
 def test_imp_implies_or_closed():
     assert imp_implies_or_closed(parse_matrix("10\n11\n"))
     for width in (1, 2, 3):
