@@ -10,9 +10,10 @@ marking element j. Columns and set elements are 1-based throughout.
 Large matrices go through C-level passes rather than a Python step per
 row:
 
-- parse_matrix checks text of nothing but rows and newlines in bulk:
-  one translate settles the characters, bulk calls the widths and the
-  distinctness, and one map converts the rows. Text with comments,
+- parse_matrix decodes text of nothing but rows and newlines as a
+  whole: one translate settles the characters, a count and a slice the
+  shape, and one int(..., 2) of all rows, each left-padded to 1, 2, 4
+  or 8 bytes, becomes an array of row values. Text with comments,
   padding or CR, and text that fails a check, goes through the
   per-line loop, which alone words the ParseError.
 - column_sums cuts the rows into bytes aligned on column 1 and counts
@@ -20,9 +21,9 @@ row:
   bit of a byte into its own counter field, wide enough for the row
   count, so one sum of table entries per byte offset is eight column
   counts side by side.
-- format_family reads a row's members from a table of element strings
-  per byte value and byte offset: at most ceil(width / 8) lookups and a
-  join per row.
+- format_matrix and format_family read a row's text from a table of
+  strings per byte value and byte offset: at most ceil(width / 8)
+  lookups and a join per row.
 """
 
 from __future__ import annotations
@@ -140,6 +141,16 @@ class BinaryMatrix:
     def non_zero(self) -> bool:
         """True iff at least one bit anywhere in the matrix is 1."""
         return any(self.row_values)
+
+
+def _packed_matrix(width: int, values: tuple[int, ...]) -> BinaryMatrix:
+    """A BinaryMatrix built without __post_init__'s checks, for rows the
+    caller has already checked: at least one, distinct, each in
+    [0, 2**width), with 1 <= width <= WIDTH_CAP."""
+    m = object.__new__(BinaryMatrix)
+    object.__setattr__(m, "width", width)
+    object.__setattr__(m, "row_values", values)
+    return m
 
 
 def _elements(width: int, value: int) -> list[int]:
@@ -265,30 +276,63 @@ def _significant_lines(text: str):
         yield lineno, line
 
 
-#: Deletes the characters of a row and the line break of a ".bm" text.
-_DROP_BITS = str.maketrans("", "", "01\n")
-
-
 def parse_matrix(text: str, source: str = "<input>") -> BinaryMatrix:
     """Parse ".bm" text into a matrix.
 
-    Text of nothing but rows and newlines is checked in bulk: one
-    translate settles that every character is '0' or '1' (unlike
-    int(line, 2), this rejects '0b', '_', signs and non-ASCII digits),
-    then the first width is within the cap, every line has it, and the
-    rows are distinct. Any other text, and text that fails a check, goes
-    to _parse_matrix_lines, which skips comments and blank lines and
-    words the first error.
+    ASCII text of nothing but rows and newlines is decoded as a whole,
+    as bytes: one translate settles that every character is '0', '1' or
+    a newline (unlike int(line, 2), this rejects '0b', '_', signs and
+    non-ASCII digits), and _decode_rows checks the shape, the width and
+    the distinctness with C-level calls and converts all rows with one
+    int(..., 2). Any other text, and text that fails a check, goes to
+    _parse_matrix_lines, which skips comments and blank lines and words
+    the first error.
     """
-    if not text.translate(_DROP_BITS):
-        lines = text.split()
-        width = len(lines[0]) if lines else 0
-        if 0 < width <= WIDTH_CAP and set(map(len, lines)) == {width}:
-            try:
-                return BinaryMatrix(width, tuple(map(int, lines, repeat(2))))
-            except DuplicateRow:
-                pass
+    if text.isascii():
+        data = text.encode()
+        if not data.translate(None, b"01\n"):
+            m = _decode_rows(data)
+            if m is not None:
+                return m
     return _parse_matrix_lines(text, source)
+
+
+#: Array typecode per row size in bytes (1, 2, 4 and 8).
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _decode_rows(data: bytes) -> BinaryMatrix | None:
+    """The matrix of text made of '0', '1' and newlines alone, or None
+    if its lines are not rows of one width in [1, WIDTH_CAP], or repeat.
+
+    Each row is left-padded with zeros to a whole array item of 1, 2, 4
+    or 8 bytes, so the concatenated rows read in base 2 (linear time,
+    and exempt from the int-string digit limit) are the rows' big-endian
+    items.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    width = data.index(b"\n")
+    n = len(data) // (width + 1)
+    # The n newlines at every (width + 1)-th byte are all of them, and
+    # one of them is the last byte, so every line is `width` long.
+    if not (
+        0 < width <= WIDTH_CAP
+        and data.count(b"\n") == n
+        and data[width :: width + 1] == b"\n" * n
+    ):
+        return None
+    size = 1 << ((width - 1) // 8).bit_length()
+    pad = b"0" * (8 * size - width)
+    rows = array(
+        _TYPECODES[size], int(pad + data[:-1].replace(b"\n", pad), 2).to_bytes(n * size, "big")
+    )
+    if sys.byteorder == "little":
+        rows.byteswap()
+    values = tuple(rows.tolist())
+    if len(set(values)) != n:
+        return None
+    return _packed_matrix(width, values)
 
 
 def _parse_matrix_lines(text: str, source: str) -> BinaryMatrix:
@@ -313,11 +357,22 @@ def _parse_matrix_lines(text: str, source: str) -> BinaryMatrix:
         seen[value] = lineno
     if not seen:
         raise ParseError(source, 0, "no matrix rows found")
-    return BinaryMatrix(width, tuple(seen))
+    return _packed_matrix(width, tuple(seen))
+
+
+@cache
+def _bits_table(length: int) -> list[str]:
+    """Per byte value, the text of its first `length` bits, high bit
+    first: one byte offset's columns (see _row_bytes)."""
+    return [format(b, "08b")[:length] for b in range(256)]
 
 
 def format_matrix(m: BinaryMatrix) -> str:
-    return "".join(f"{v:0{m.width}b}\n" for v in m.row_values)
+    """Format a matrix as ".bm" text."""
+    columns = _row_bytes(m.width, m.row_values)
+    pieces = [map(_bits_table(8).__getitem__, c) for c in columns[:-1]]
+    pieces.append(map(_bits_table(m.width - 8 * len(pieces)).__getitem__, columns[-1]))
+    return "\n".join(map("".join, zip(*pieces))) + "\n"
 
 
 def _decimal(token: str) -> int:

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from closurelab.errors import (
     WidthCapExceeded,
     WidthMismatch,
 )
+from closurelab import bitcore
 from closurelab.bitcore import column_sums
 
 from conftest import column_count_oracle, matrix_tuples
@@ -401,6 +403,96 @@ def test_parse_matrix_matches_the_per_line_reference_on_corruptions():
 )
 def test_parse_matrix_named_corruptions(text):
     assert _outcome(parse_matrix, text) == _outcome(_reference_parse_matrix, text)
+
+
+def _distinct_rows(rng, width, n):
+    """n distinct row values in random order (fewer if the width has
+    fewer), 0 among them, and all-ones too when n > 1."""
+    full = (1 << width) - 1
+    values = [0, full]
+    seen = set(values)
+    while len(values) < min(n, full + 1):
+        v = rng.getrandbits(width)
+        if v not in seen:
+            seen.add(v)
+            values.append(v)
+    values = values[:n]
+    rng.shuffle(values)
+    return values
+
+
+def test_parse_matrix_bulk_matches_reference_at_every_width():
+    # Every row size the bulk decoder pads to (1, 2, 4 and 8 bytes) and
+    # both sides of each edge: widths 8 | 9, 16 | 17, 32 | 33 and 64.
+    rng = random.Random(1414)
+    for width in range(1, WIDTH_CAP + 1):
+        for n in (1, 2, 40):
+            values = _distinct_rows(rng, width, n)
+            body = "\n".join(format(v, f"0{width}b") for v in values)
+            for text in (body + "\n", body):
+                expected = _outcome(_reference_parse_matrix, text)
+                assert expected == (width, tuple(values))
+                assert _outcome(parse_matrix, text) == expected, (width, n, text)
+
+
+def test_clean_text_never_reaches_the_per_line_parser(monkeypatch):
+    def per_line(text, source):
+        raise AssertionError("clean text went to the per-line parser")
+
+    monkeypatch.setattr(bitcore, "_parse_matrix_lines", per_line)
+    rng = random.Random(1415)
+    for width in range(1, WIDTH_CAP + 1):
+        values = _distinct_rows(rng, width, 5)
+        text = "".join(f"{v:0{width}b}\n" for v in values)
+        assert parse_matrix(text) == BinaryMatrix(width, tuple(values))
+    monkeypatch.undo()
+    # Clean-looking text that fails a bulk check still gets the per-line
+    # parser's outcome: a repeated row, ragged lines (one with as many
+    # newlines as rows of the first width would have, three with every
+    # (width + 1)-th character a newline), a row over the cap, and blank
+    # lines, which the per-line parser skips.
+    errors = (
+        "01\n10\n01\n",
+        "011\n110\n01\n",
+        "01\n1\n011\n",
+        "01100110\n1\n010110\n",
+        "011\n1\n0\n",
+        "10\n1\n\n",
+        "10\n" + "1" * 65 + "\n",
+        "1" * 65 + "\n",
+    )
+    for text in errors + ("10\n\n\n\n\n\n", "1\n\n0\n\n"):
+        outcome = _outcome(parse_matrix, text)
+        assert outcome == _outcome(_reference_parse_matrix, text), text
+        assert (outcome[0] is ParseError) == (text in errors), text
+
+
+@pytest.mark.parametrize("width", [8, 9, 33, 64])
+def test_parsed_matrix_is_interchangeable_with_a_built_one(width):
+    values = tuple(_distinct_rows(random.Random(width), width, 20))
+    parsed = parse_matrix("".join(f"{v:0{width}b}\n" for v in values))
+    built = BinaryMatrix(width, values)
+    assert type(parsed) is BinaryMatrix
+    assert parsed == built and hash(parsed) == hash(built)
+    restored = pickle.loads(pickle.dumps(parsed))
+    assert restored == built and hash(restored) == hash(built)
+    # The public constructor keeps every check the parser does not need.
+    with pytest.raises(ValueError, match="out of range"):
+        BinaryMatrix(width, values + (1 << width,))
+    with pytest.raises(ValueError, match="out of range"):
+        BinaryMatrix(width, (float(values[0]),))
+    with pytest.raises(DuplicateRow):
+        BinaryMatrix(width, values + values[:1])
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64])
+def test_format_matrix_matches_the_row_string_reference(width):
+    rng = random.Random(width)
+    for n in (1, 2, 40):
+        m = BinaryMatrix(width, tuple(_distinct_rows(rng, width, n)))
+        text = format_matrix(m)
+        assert text == "".join(format(v, f"0{width}b") + "\n" for v in m.row_values)
+        assert parse_matrix(text) == m
 
 
 def _reference_format_family(m):

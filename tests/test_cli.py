@@ -278,6 +278,21 @@ def test_parse_error_exit_and_line(tmp_path):
     assert "bad.bm:2" in result.output
 
 
+def test_clean_looking_bad_matrix_exit_and_line(tmp_path):
+    # Text of '0', '1' and newlines alone that is still no matrix.
+    cases = {
+        "repeat.bm": ("01\n10\n11\n10\n", "4: duplicate row 10 (first at line 2)"),
+        "short.bm": ("011\n110\n01\n111\n", "3: row width 2 differs from first row width 3"),
+        "wide.bm": ("01\n" + "1" * 65 + "\n", "2: row width 65 differs from first row width 2"),
+        "over_cap.bm": ("1" * 65 + "\n", "1: row width 65 exceeds cap 64"),
+    }
+    for name, (text, message) in cases.items():
+        path = write(tmp_path, name, text)
+        result = invoke("psi", path)
+        assert result.exit_code == 2
+        assert result.output == f"error: {path}:{message}\n"
+
+
 def test_non_decimal_family_element_exit_and_line(tmp_path):
     path = write(tmp_path, "bad.fam", "ground 12\n1_0\n")
     result = invoke("psi", path)
