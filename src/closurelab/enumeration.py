@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .bitcore import BinaryMatrix, column_sums, format_matrix
+from .bitcore import BinaryMatrix, _packed_matrix, column_sums, format_matrix
 from .errors import (
     CampaignFailure,
     ClosureLabError,
@@ -227,12 +227,13 @@ def _theorem_runs(
     the 16-bit closure mask closed (negation is bit 3), and a non-zero
     matrix. Both are known here, so runners call the proof cores, which
     do not prove the hypothesis again; the cores share one matrix, built
-    only when some hypothesis holds.
+    only when some hypothesis holds and without re-checking the rows,
+    which every family stream yields distinct and in range.
     """
     if not any(values):
         return []
     tables = [t for t, mask in _HYPOTHESIS_MASKS if closed & mask == mask]
-    m = BinaryMatrix.from_values(width, values) if tables else None
+    m = _packed_matrix(width, values) if tables else None
     runs: list[tuple[str, Callable[[], object]]] = [
         (t.name, functools.partial(t.core, m)) for t in tables
     ]

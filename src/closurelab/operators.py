@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitcore import BinaryMatrix, BitRow, _decimal
+from .bitcore import BinaryMatrix, BitRow, _decimal, _packed_matrix
 from .errors import WidthMismatch
 
 
@@ -173,9 +173,13 @@ def negate(a: BitRow) -> BitRow:
 
 
 def tilde_matrix(m: BinaryMatrix) -> BinaryMatrix:
-    """Negate every row of the matrix (row order preserved)."""
+    """Negate every row of the matrix (row order preserved).
+
+    The complements of distinct rows in range are distinct and in range,
+    so the result skips the row checks.
+    """
     mask = (1 << m.width) - 1
-    return BinaryMatrix.from_values(m.width, (v ^ mask for v in m.row_values))
+    return _packed_matrix(m.width, tuple(v ^ mask for v in m.row_values))
 
 
 def tilde_op(op: BoolOp) -> BoolOp:

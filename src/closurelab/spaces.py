@@ -1,16 +1,24 @@
 """Closure checking, fixed-point closure, column-sum statistics.
 
 A space is a non-zero matrix whose row set is closed under an operator.
-Every closure check runs on one kernel: with the left row a fixed, an
-operator is op(a, b) == u ^ (b & d) for masks (u, d) of a alone. Rows
-that fit in a byte are checked as byte strings: a row's images are the
-rows translated through the 256-byte tables of b & d and then b ^ u,
-and deleting every present byte from them must leave nothing, one
-C-level pass per left row. Wider rows build one Python set of images
-per left row. The column-sum statistics record, for each matrix, the
-set of column sums, the best column, and whether that column covers at
-least half the rows (the exact-integer test 2 * max >= n, no fractions
-anywhere).
+Every closure check and the closure itself run on one kernel: with the
+left row a fixed, an operator is op(a, b) == u ^ (b & d) for masks
+(u, d) of a alone, and op(b, a) is the same with the masks of the
+operator whose arguments are swapped.
+
+Rows that fit in a byte are handled as byte strings, a row's images
+being the rows translated through the 256-byte table of b -> u ^ (b & d),
+built once per map and process. A check deletes every present byte from
+the images of each distinct map, which must leave nothing. The closure
+translates the rows so far through the tables of op(a, .) and op(., a),
+interleaves the two, deletes the present rows and appends the rest in
+first-occurrence order: a few C-level calls per worklist row. Wider rows
+build one Python set of images per left row to check, and pair one row
+at a time to close, with the skip rules `closure` documents.
+
+The column-sum statistics record, for each matrix, the set of column
+sums, the best column, and whether that column covers at least half
+the rows (the exact-integer test 2 * max >= n, no fractions anywhere).
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 
-from .bitcore import BinaryMatrix, column_sums
+from .bitcore import BinaryMatrix, _packed_matrix, column_sums
 from .errors import ParameterOutOfRange, PreconditionViolated
 from .operators import OpLike, apply_values, op_name
 
@@ -36,22 +44,31 @@ def row_map(table: int, a: int, mask: int) -> tuple[int, int]:
     return u, u ^ apply_values(table, a, mask, mask)
 
 
-@cache
-def _and_table(d: int) -> bytes:
-    """Translation table of b -> b & d on bytes."""
-    return bytes(b & d for b in range(256))
+#: Every byte in order, and 1 in every byte, as 256-byte big-endian
+#: integers: a bitwise operation on such integers acts on each byte alone.
+_EVERY_BYTE = int.from_bytes(bytes(range(256)), "big")
+_EACH_BYTE = int.from_bytes(b"\x01" * 256, "big")
 
 
 @cache
-def _xor_table(u: int) -> bytes:
-    """Translation table of b -> b ^ u on bytes."""
-    return bytes(b ^ u for b in range(256))
+def _map_table(u: int, d: int) -> bytes:
+    """Translation table of b -> u ^ (b & d) on bytes: one row's images."""
+    return ((_EVERY_BYTE & _EACH_BYTE * d) ^ _EACH_BYTE * u).to_bytes(256, "big")
 
 
 @cache
 def _byte_maps(table: int, mask: int) -> tuple[tuple[int, int], ...]:
-    """row_map(table, a, mask) for every row a of a width of at most 8."""
-    return tuple(row_map(table, a, mask) for a in range(mask + 1))
+    """row_map(table, a, mask) for every row a of a width of at most 8,
+    computed for all rows at once on the 256 bytes of _EVERY_BYTE."""
+    masks = _EACH_BYTE * mask
+    u = apply_values(table, _EVERY_BYTE, 0, masks)
+    d = u ^ apply_values(table, _EVERY_BYTE, masks, masks)
+    return tuple(zip(u.to_bytes(256, "big"), d.to_bytes(256, "big")))[: mask + 1]
+
+
+def _swapped(table: int) -> int:
+    """The truth table of op(b, a): the (0, 1) and (1, 0) entries trade places."""
+    return (table & 9) | (table >> 1 & 2) | (table << 1 & 4)
 
 
 def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: int) -> bool:
@@ -65,11 +82,10 @@ def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: i
     image test, not n.
 
     When the rows fit in a byte (mask < 256) the values are one bytes
-    object, and a row's images are that object translated through
-    b & d, then through b ^ u when u is non-zero; they all lie in
-    present when deleting the present bytes leaves nothing. The masks
-    and tables are built once per process. Wider rows build the set of
-    images instead.
+    object, and a row's images are that object translated through the
+    256-byte table of b -> u ^ (b & d); they all lie in present when
+    deleting the present bytes leaves nothing. The masks and tables are
+    built once per process. Wider rows build the set of images instead.
     """
     byte = mask < 256
     if byte:
@@ -84,10 +100,7 @@ def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: i
                 continue
             seen.add(ud)
             if byte:
-                images = rows.translate(_and_table(d))
-                if u:
-                    images = images.translate(_xor_table(u))
-                if images.translate(None, keep):
+                if rows.translate(_map_table(u, d)).translate(None, keep):
                     return False
             elif not {u ^ (b & d) for b in values} <= present:
                 return False
@@ -114,25 +127,36 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
     """Smallest superset of the generator rows closed under op.
 
     Worklist fixed point: generator rows first, new rows appended in
-    discovery order. Row i is paired with rows 0..i, producing op(a, b)
-    then op(b, a); each is computed as u ^ (b & d) from the masks
-    row_map gives once per row. Pairs whose image is already present
-    are skipped, which keeps that order exactly:
+    discovery order. Row i with value a adds the absent images among
+    op(a, b) then op(b, a) for b = rows 0..i in turn, each new image once,
+    at its first occurrence. With a fixed, op(a, b) is u ^ (b & d) for
+    the masks (u, d) = row_map(table, a), and op(b, a) is the same with
+    the masks of the swapped table. Two rules skip the images op(a, b)
+    and keep that order exactly:
 
     - a row whose (u, d) appeared on an earlier row k has row k's
-      images, all present by the time row i's pairing reaches k, so
-      only its images op(b, a) are computed;
-    - a row with d == 0 has the single image u as op(a, b);
-    - op(b, a) repeats op(b', a) when an earlier b' has b's masks, and
-      is b's own present u when b's d == 0, so only the rows where a
-      map with d != 0 first appeared give images op(b, a).
+      images op(a, b), all present by the time they come up;
+    - a row with d == 0 has the single image u as op(a, b), so once u
+      is added only its images op(b, a) remain.
 
-    A row whose map is new and has d != 0 is paired with every earlier
-    row. Under a constant, a projection or a negated projection no row
-    after the first takes that path, so the closure is linear in the
-    rows. The result always has at most 2**width rows.
+    When the rows fit in a byte (mask < 256) the rows are one bytearray
+    and row i costs a few C-level calls. rows[:i+1] translated through
+    the 256-byte table of each map gives the images op(a, b) and op(b, a);
+    the two are interleaved, the present rows deleted, and the rest
+    appended in first-occurrence order. A row whose (u, d) appeared
+    before translates only for op(b, a), which covers the second rule
+    too: its first row adds u. Wider rows pair one at a time and keep a
+    third rule: op(b, a) repeats op(b', a) when an earlier b' has b's
+    masks, and is b's own present u when b's d == 0, so only the rows
+    where a map with d != 0 first appeared give images op(b, a). Under a
+    constant, a projection or a negated projection no row after the
+    first pairs with every earlier row, so the wide closure is linear in
+    the rows. The result is a plain BinaryMatrix of at most 2**width rows.
     """
-    mask = (1 << generators.width) - 1
+    width = generators.width
+    mask = (1 << width) - 1
+    if mask < 256:
+        return _packed_matrix(width, tuple(_byte_closure(op.table, generators.row_values, mask)))
     table = op.table
     rows = list(generators.row_values)
     present = set(rows)
@@ -169,7 +193,31 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
                     present.add(r)
                     rows.append(r)
         i += 1
-    return BinaryMatrix.from_values(generators.width, rows)
+    return _packed_matrix(width, tuple(rows))
+
+
+def _byte_closure(table: int, values: tuple[int, ...], mask: int) -> bytearray:
+    """closure's rows for rows that fit in a byte, in the same order."""
+    maps = _byte_maps(table, mask)
+    swapped = _byte_maps(_swapped(table), mask)
+    rows = bytearray(values)
+    seen = set()
+    # iterating a bytearray reads its length at every step, so the rows
+    # appended below are visited in turn
+    for i, a in enumerate(rows, 1):
+        head = rows[:i]
+        images = head.translate(_map_table(*swapped[a]))  # op(b, a)
+        ud = maps[a]
+        if ud not in seen:
+            seen.add(ud)
+            pairs = bytearray(2 * i)
+            pairs[0::2] = head.translate(_map_table(*ud))  # op(a, b)
+            pairs[1::2] = images
+            images = pairs
+        new = images.translate(None, rows)
+        if new:
+            rows += bytes(dict.fromkeys(new))
+    return rows
 
 
 @dataclass(frozen=True, slots=True)

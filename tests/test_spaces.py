@@ -15,6 +15,7 @@ from closurelab import (
     XOR,
     BinaryMatrix,
     BoolOp,
+    SetFamily,
     Space,
     apply_permutations,
     closure,
@@ -28,7 +29,7 @@ from closurelab import (
 from closurelab.enumeration import _closed_mask_direct, _neg_closed
 from closurelab.errors import ParameterOutOfRange, PreconditionViolated
 from closurelab.operators import apply_values
-from closurelab.spaces import closed_under
+from closurelab.spaces import closed_under, row_map
 
 from conftest import (
     SEMANTICS,
@@ -215,6 +216,62 @@ def test_closure_row_order_matches_pair_loop_reference_on_many_generators():
         gens = random_distinct_matrix(rng, width, rng.randint(1, min(12, 1 << width)))
         op = BoolOp(rng.randrange(16))
         assert closure(gens, op).row_values == closure_reference(gens, op), (gens, op)
+
+
+@pytest.mark.parametrize("width", [7, 8])
+def test_byte_closure_row_order_matches_pair_loop_reference(width):
+    # The byte path at its widest, on every table and negation, with up
+    # to 16 generators so that some closures fill the whole space.
+    rng = random.Random(width)
+    full = 0
+    for op in _OPS:
+        for count in (1, 2, 3, 8, 16):
+            gens = random_distinct_matrix(rng, width, count)
+            expected = closure_reference(gens, op)
+            assert closure(gens, op).row_values == expected, (gens, op)
+            full += len(expected) == 1 << width
+    assert full >= 4
+
+
+@pytest.mark.parametrize("width", [9, 16])
+def test_wide_closure_row_order_matches_pair_loop_reference(width):
+    # Rows wider than a byte take the one-pair-at-a-time worklist. Three
+    # generators keep every closure within 256 rows.
+    rng = random.Random(width)
+    for op in _OPS:
+        for count in (1, 2, 3):
+            gens = random_distinct_matrix(rng, width, count)
+            assert closure(gens, op).row_values == closure_reference(gens, op), (gens, op)
+
+
+@pytest.mark.parametrize("width", [3, 8, 9])
+def test_closure_of_a_set_family_is_a_plain_matrix(width):
+    family = SetFamily.from_members(width, [(1,), (width,)])
+    closed = closure(family, OR)
+    assert type(closed) is BinaryMatrix
+    assert closed.row_values == closure_reference(family, OR)
+
+
+def test_closed_under_matches_oracle_at_width_8_with_nonzero_u():
+    # Tables whose row maps have u != 0 translate through one combined
+    # table of b -> u ^ (b & d); closures, closures less a row, and
+    # random sets give both outcomes.
+    rng = random.Random(88)
+    outcomes = set()
+    for op in ALL_OPS:
+        if not any(u for u, _ in (row_map(op.table, a, 255) for a in range(256))):
+            continue
+        for _ in range(6):
+            closed = closure(random_distinct_matrix(rng, 8, rng.randint(1, 3)), op).row_values
+            if len(closed) > 64:
+                closed = closed[:64]
+            cases = [closed, closed[:-1] or closed, tuple(rng.sample(range(256), 12))]
+            for values in cases:
+                rows = matrix_tuples(BinaryMatrix.from_values(8, values))
+                expected = closed_oracle(rows, op.output)
+                assert closed_under(op.table, values, set(values), 255) == expected, (op, values)
+                outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_closure_or_join():
