@@ -17,7 +17,7 @@ from .errors import (
     PreconditionViolated,
     WidthMismatch,
 )
-from .operators import ABJ, AND, tilde_matrix
+from .operators import ABJ, AND
 from .spaces import is_closed
 
 
@@ -122,7 +122,3 @@ def decompose(row: BitRow, basis: Basis) -> Decomposition:
     if ored != row.value:
         raise NotDecomposable(f"row {row} is not an OR of basis vectors")
     return Decomposition(frozenset(indices))
-
-
-def _tilde_closure_core(m: BinaryMatrix) -> bool:
-    return check_basis_preconditions(tilde_matrix(m))

@@ -50,7 +50,7 @@ from .operators import (
     op_name,
 )
 from .spaces import closed_under, closure, row_map
-from .witnesses import THEOREMS
+from .witnesses import THEOREMS, ImpChain
 
 EXHAUSTIVE_WIDTH_CAP = 4
 RANDOM_WIDTH_CAP = 8
@@ -226,16 +226,18 @@ def _theorem_runs(
     statements exactly: closure under the named operator(s), read from
     the 16-bit closure mask closed (negation is bit 3), and a non-zero
     matrix. Both are known here, so runners call the proof cores, which
-    do not prove the hypothesis again; the cores share one matrix, built
-    only when some hypothesis holds and without re-checking the rows,
-    which every family stream yields distinct and in range.
+    do not prove the hypothesis again. They share one matrix, built only
+    when some hypothesis holds and without re-checking the rows (every
+    family stream yields them distinct and in range), and one ImpChain.
     """
     if not any(values):
         return []
     tables = [t for t, mask in _HYPOTHESIS_MASKS if closed & mask == mask]
     m = _packed_matrix(width, values) if tables else None
+    chain = ImpChain(m) if tables else None
     runs: list[tuple[str, Callable[[], object]]] = [
-        (t.name, functools.partial(t.core, m)) for t in tables
+        (t.name, functools.partial(t.core, m, chain) if t.chained else functools.partial(t.core, m))
+        for t in tables
     ]
     # Checked on (width, values): a matrix per tiny exhaustive family
     # would cost more than the check itself.
@@ -422,9 +424,12 @@ def run_campaign(cfg: CampaignConfig, dump_dir: str | Path = ".") -> CampaignSum
     else:
         # The pool starts every worker up front; more than one per chunk
         # would only idle. Workers share no state, so any start method
-        # gives the same results.
-        with ProcessPoolExecutor(max_workers=min(cfg.parallelism, len(chunks))) as pool:
-            results = list(pool.map(_run_chunk, chunks))
+        # gives the same results. Tasks of several chunks (about eight a
+        # worker) cut the per-task cost and keep costly chunks balanced.
+        workers = min(cfg.parallelism, len(chunks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(chunks) // (8 * workers))
+            results = list(pool.map(_run_chunk, chunks, chunksize=chunksize))
     total = _merge(results)
     failures = total.pop("failures")
     config = {

@@ -16,15 +16,19 @@ non-zero matrix, each raising PreconditionViolated when it fails. A
 campaign reads the same hypothesis from its closure-mask bits and calls
 the core directly; the public witnesses and the `witness` verb call the
 row's Theorem.witness. Only the topology row gates on something weaker
-than its campaign hypothesis, and stores that gate on the row.
+than its campaign hypothesis, and stores that gate on the row. The IMP
+rows re-trace one chain, sharing an ImpChain per campaign family: the
+complemented rows are AND- and ABJ-closed, so their basis gives the
+half-full column, and their AND closure is OR closure of the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
-from .basis import _tilde_closure_core, compute_basis
+from .basis import compute_basis
 from .bitcore import BinaryMatrix, column_sum, column_sums
 from .errors import (
     AllEmpty,
@@ -33,6 +37,7 @@ from .errors import (
     VerificationFailed,
 )
 from .operators import (
+    ABJ,
     AND,
     IMP,
     NAND,
@@ -43,7 +48,6 @@ from .operators import (
     XOR,
     BoolOp,
     OpLike,
-    apply_values,
     op_name,
     tilde_matrix,
 )
@@ -130,19 +134,12 @@ def group_witness(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
 
 
 def _group_core(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
-    values = set(m.row_values)
-    mask = (1 << m.width) - 1
     n = m.n_rows
-    identity = 0 if op == XOR else mask
-    # Closure over ordered pairs includes the diagonal, so the identity
-    # must already be present; kept as an internal assertion.
-    if identity not in values:
+    # The diagonal a op a is the identity, so every element is its own
+    # inverse and the identity is present; the latter stays an assertion.
+    identity = 0 if op == XOR else (1 << m.width) - 1
+    if identity not in m.row_values:
         raise GroupAxiomFailed("identity element missing from a closed row set")
-    for v in values:
-        if apply_values(op.table, v, v, mask) != identity:
-            # a xor a = 0 and a xnor a = ~0: self-inverse is structural,
-            # so reaching here is impossible.
-            raise GroupAxiomFailed("element is not self-inverse")
     for j in range(1, m.width + 1):
         ones = column_sum(m, j)
         if 2 * ones >= n:
@@ -234,9 +231,20 @@ def conditional_witness(m: BinaryMatrix) -> FranklWitness:
     return _THEOREM["material_conditional"].witness(m)
 
 
-def _conditional_core(m: BinaryMatrix) -> FranklWitness:
+class ImpChain:
+    """The steps the IMP rows share on one matrix, each run on first use
+    and kept: the complemented rows, and their AND closure."""
+
+    def __init__(self, m: BinaryMatrix):
+        self.m = m
+
+    tilde = cached_property(lambda self: tilde_matrix(self.m))
+    tilde_and = cached_property(lambda self: is_closed(self.tilde, AND))
+
+
+def _conditional_core(m: BinaryMatrix, chain: ImpChain | None = None) -> FranklWitness:
     n = m.n_rows
-    tilde = tilde_matrix(m)
+    tilde = (chain or ImpChain(m)).tilde
     basis = compute_basis(tilde)  # preconditions guaranteed; raises if not
 
     if not basis.vectors:
@@ -246,17 +254,12 @@ def _conditional_core(m: BinaryMatrix) -> FranklWitness:
 
     # A row's decomposition (verified by compute_basis) uses v1 iff it covers v1.
     v1 = basis.vectors[0].value
-    users = []
-    others = []
-    for u in tilde.row_values:
-        if u & v1 == v1:
-            users.append(u)
-        else:
-            others.append(u)
+    users = [u for u in tilde.row_values if u & v1 == v1]
     if not users:
         raise VerificationFailed("first basis vector is not used by any row")
     stripped = {u & ~v1 for u in users}
-    if len(stripped) != len(users) or not stripped <= set(others):
+    # A stripped row misses v1, so it is a non-user exactly when it is a row.
+    if len(stripped) != len(users) or not stripped <= set(tilde.row_values):
         raise VerificationFailed("stripping v1 is not an injection into the non-users")
 
     t = m.width - v1.bit_length() + 1  # v1's first column
@@ -281,6 +284,11 @@ def tilde_closure_properties(m: BinaryMatrix) -> bool:
     return _THEOREM["tilde_preconditions"].witness(m)
 
 
+def _tilde_preconditions_core(m: BinaryMatrix, chain: ImpChain | None = None) -> bool:
+    chain = chain or ImpChain(m)
+    return chain.tilde_and and is_closed(chain.tilde, ABJ)
+
+
 def imp_implies_or_closed(m: BinaryMatrix) -> bool:
     """Whether a conditional-closed row set is also closed under OR.
 
@@ -292,20 +300,11 @@ def imp_implies_or_closed(m: BinaryMatrix) -> bool:
     return _THEOREM["imp_implies_or"].witness(m)
 
 
-def _imp_implies_or_core(m: BinaryMatrix) -> bool:
-    """OR closure of the rows, decided twice and compared.
-
-    The complement of a | b is ~a & ~b, so every pairwise OR has its
-    complement among the complemented rows exactly when those rows are
-    AND-closed. That side runs on the closure kernel over the
-    complemented rows, a byte translation per row when they fit in a
-    byte; the direct side is is_closed(m, OR).
-    """
-    mask = (1 << m.width) - 1
-    tilde = tuple(v ^ mask for v in m.row_values)
-    intermediate = closed_under(AND.table, tilde, set(tilde), mask)
+def _imp_implies_or_core(m: BinaryMatrix, chain: ImpChain | None = None) -> bool:
+    """OR closure of the rows, decided directly and as AND closure of
+    the complemented rows (~(a | b) is ~a & ~b), which must agree."""
     direct = is_closed(m, OR)
-    if intermediate != direct:
+    if (chain or ImpChain(m)).tilde_and != direct:
         raise VerificationFailed("complement-side and direct OR-closure disagree")
     return direct
 
@@ -323,8 +322,9 @@ class Theorem:
     name: str
     verb: str | None  # `closurelab witness` verb, None when there is none
     hypothesis: tuple[OpLike, ...]
-    core: Callable[[BinaryMatrix], object]
+    core: Callable[..., object]
     gate: Callable[[BinaryMatrix], None] | None = None
+    chained: bool = False  # core(m, chain) can share an ImpChain, else builds one
 
     def witness(self, m: BinaryMatrix) -> object:
         """The core's result on m, or PreconditionViolated (or the gate's
@@ -350,9 +350,12 @@ THEOREMS = (
     Theorem("nor_reduction", "nor", (NOR,), _negation_core),
     Theorem("xor_group", "xor", (XOR,), lambda m: _group_core(m, XOR)),
     Theorem("xnor_group", "xnor", (XNOR,), lambda m: _group_core(m, XNOR)),
-    Theorem("material_conditional", "imp", (IMP,), _conditional_core),
-    Theorem("tilde_preconditions", None, (IMP,), _tilde_closure_core),
-    Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core),
+    # One chain: the complement is AND- and ABJ-closed (tilde_preconditions),
+    # so its basis gives the column (material_conditional), and its AND
+    # closure is OR closure of the rows (imp_implies_or).
+    Theorem("material_conditional", "imp", (IMP,), _conditional_core, chained=True),
+    Theorem("tilde_preconditions", None, (IMP,), _tilde_preconditions_core, chained=True),
+    Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core, chained=True),
     # The campaign hypothesis is AND and OR; the public witness gates on
     # the weaker union and nonempty-intersection closure of the family.
     Theorem("topology", "topology", (AND, OR), _topology_core, _topology_gate),

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -7,29 +8,37 @@ import pytest
 from click.testing import CliRunner
 
 from closurelab import (
+    ABJ,
     ALL_OPS,
     AND,
     IMP,
     NEGATION,
     NOR,
     OR,
+    BinaryMatrix,
     CampaignConfig,
+    conditional_witness,
     enumerate_families,
+    imp_implies_or_closed,
     is_closed,
     parse_matrix,
     run_campaign,
+    tilde_closure_properties,
 )
-from closurelab import basis, enumeration, witnesses
+from closurelab import enumeration, witnesses
 from closurelab.cli import cli
 from closurelab.enumeration import (
     THEOREM_NAMES,
     _chunk_args,
+    _chunk_families,
     _closed_mask_coded,
     _closed_mask_direct,
     _merge,
     _run_chunk,
+    _theorem_runs,
 )
 from closurelab.errors import (
+    BasisVerificationFailed,
     CampaignFailure,
     ParameterOutOfRange,
     PreconditionViolated,
@@ -213,6 +222,20 @@ def test_parallel_random_campaign_is_deterministic_under_spawn(monkeypatch):
     )
 
 
+#: sha256 of the seed-7 width-8 random summary (1000 samples, 3 generators).
+SEED7_W8_SHA256 = "65d75e11d88669b92f9cebe17774fcc0423495a5f6dddf4b6cfd4ecb0ae2be8f"
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_seed7_width8_random_summary_is_pinned(parallelism):
+    cfg = CampaignConfig(
+        width=8, mode="random", sample_count=1000, generator_count=3, seed=7,
+        parallelism=parallelism,
+    )
+    text = run_campaign(cfg).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == SEED7_W8_SHA256
+
+
 def test_campaign_random_mode_deterministic():
     cfg = dict(width=4, mode="random", sample_count=40, generator_count=3)
     a = run_campaign(CampaignConfig(seed=123, **cfg))
@@ -308,6 +331,10 @@ _REAL_COL_SUMS = enumeration.column_sums
 _REAL_IS_CLOSED = witnesses.is_closed
 
 
+def _no_basis(m):
+    raise BasisVerificationFailed("injected basis failure")
+
+
 def _miscount_complements(width, values):
     # The exhaustive stream yields rows ascending, so complemented rows of a
     # multi-row family come out descending: count one extra one there.
@@ -320,11 +347,14 @@ BROKEN_STEPS = {
     "negation_lemma": (witnesses, "column_sums", lambda width, values: [0] * width),
     "nand_reduction": (witnesses, "column_sums", lambda width, values: [0] * width),
     "nor_reduction": (witnesses, "column_sums", lambda width, values: [0] * width),
-    "xnor_group": (witnesses, "apply_values", lambda table, a, b, mask: 1),
-    "xor_group": (witnesses, "apply_values", lambda table, a, b, mask: 1),
+    "xnor_group": (witnesses, "column_sum", lambda m, j: 0),
+    "xor_group": (witnesses, "column_sum", lambda m, j: 0),
     "topology": (witnesses, "column_sum", lambda m, j: 0),
-    "material_conditional": (witnesses, "tilde_matrix", lambda m: m),
-    "tilde_preconditions": (basis, "tilde_matrix", lambda m: m),
+    # Each IMP row breaks a step only it reads, outside the ImpChain all three share.
+    "material_conditional": (witnesses, "compute_basis", _no_basis),
+    "tilde_preconditions": (
+        witnesses, "is_closed", lambda m, op: op is not ABJ and _REAL_IS_CLOSED(m, op)
+    ),
     "imp_implies_or": (
         witnesses, "is_closed", lambda m, op: op is not OR and _REAL_IS_CLOSED(m, op)
     ),
@@ -364,11 +394,66 @@ def test_every_theorem_check_can_fail(theorem, tmp_path, monkeypatch):
     assert_counted_failure_and_reproducer(theorem, tmp_path, monkeypatch)
 
 
+#: The message each IMP row fails with under its BROKEN_STEPS entry.
+IMP_ROW_MESSAGES = {
+    "material_conditional": "injected basis failure",
+    "tilde_preconditions": "check returned false",
+    "imp_implies_or": "complement-side and direct OR-closure disagree",
+}
+
+
+@pytest.mark.parametrize("theorem", IMP_ROW_MESSAGES)
+def test_each_imp_row_fails_alone(theorem, monkeypatch):
+    # The IMP rows share one chain per family; breaking the step only one
+    # of them reads fails that row, with its own message, and no other.
+    owner, attribute, replacement = BROKEN_STEPS[theorem]
+    monkeypatch.setattr(owner, attribute, replacement)
+    counts = _merge([_run_chunk(c) for c in _chunk_args(CampaignConfig(width=3, mode="exhaustive"))])
+    assert counts["theorems"][theorem]["failed"] > 0
+    failures = {(name, message) for _, name, message, _, _ in counts["failures"]}
+    assert failures == {(theorem, IMP_ROW_MESSAGES[theorem])}
+    for other in set(IMP_ROW_MESSAGES) - {theorem}:
+        assert counts["theorems"][other]["failed"] == 0, other
+        assert counts["theorems"][other]["passed"] > 0, other
+
+
+def imp_closed_families():
+    """(width, values, closed) of every non-zero IMP-closed family at
+    widths 1-4, then of the seed-7 width-8 random campaign."""
+    configs = [CampaignConfig(width=w, mode="exhaustive") for w in (1, 2, 3, 4)]
+    configs.append(
+        CampaignConfig(width=8, mode="random", sample_count=1000, generator_count=3, seed=7)
+    )
+    for cfg in configs:
+        for args in _chunk_args(cfg):
+            for _, values, closed in _chunk_families(args):
+                if closed >> IMP.table & 1 and any(values):
+                    yield cfg.width, values, closed
+
+
+def test_shared_imp_chain_matches_the_public_witnesses():
+    # The campaign runs the three IMP rows on one shared chain per family;
+    # each public function builds its own chain and proves the hypothesis.
+    public = {
+        "material_conditional": conditional_witness,
+        "tilde_preconditions": tilde_closure_properties,
+        "imp_implies_or": imp_implies_or_closed,
+    }
+    seen = set()
+    for width, values, closed in imp_closed_families():
+        runs = dict(_theorem_runs(width, values, closed))
+        m = BinaryMatrix.from_values(width, values)
+        for name, function in public.items():
+            assert runs[name]() == function(m), (name, width, values)
+        seen.add(width)
+    assert seen == {1, 2, 3, 4, 8}
+
+
 def test_imp_implies_or_complement_side_can_fail(tmp_path, monkeypatch):
     # BROKEN_STEPS breaks the direct OR side; here only the AND check on
     # the complemented rows fails, and the disagreement is still caught.
     monkeypatch.setattr(
-        witnesses, "closed_under", lambda table, values, present, mask: table != AND.table
+        witnesses, "is_closed", lambda m, op: op is not AND and _REAL_IS_CLOSED(m, op)
     )
     header = assert_counted_failure_and_reproducer("imp_implies_or", tmp_path, monkeypatch)
     assert header["message"] == "complement-side and direct OR-closure disagree"
@@ -396,7 +481,7 @@ def test_pool_workers_are_clamped_to_the_chunk_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
