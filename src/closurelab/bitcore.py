@@ -21,6 +21,9 @@ row:
   bit of a byte into its own counter field, wide enough for the row
   count, so one sum of table entries per byte offset is eight column
   counts side by side.
+- column_sum counts one column of rows up to a byte wide as the bytes
+  left after deleting every byte with that bit clear, and of wider rows
+  as the sum of the rows masked to that bit.
 - format_matrix and format_family read a row's text from a table of
   strings per byte value and byte offset: at most ceil(width / 8)
   lookups and a join per row.
@@ -217,7 +220,16 @@ def column_sum(m: BinaryMatrix, j: int) -> int:
     if not 1 <= j <= m.width:
         raise IndexOutOfRange(f"column {j} outside [1, {m.width}]")
     shift = m.width - j
-    return sum((v >> shift) & 1 for v in m.row_values)
+    if m.width <= 8:
+        return len(bytes(m.row_values).translate(None, _bit_clear(1 << shift)))
+    return sum(map((1 << shift).__and__, m.row_values)) >> shift
+
+
+@cache
+def _bit_clear(bit: int) -> bytes:
+    """The bytes with the given bit clear: deleting them from a row
+    string leaves one byte per row that has the bit."""
+    return bytes(b for b in range(256) if not b & bit)
 
 
 def _row_bytes(width: int, values: Iterable[int]) -> list[bytes]:

@@ -6,10 +6,11 @@ left row a fixed, an operator is op(a, b) == u ^ (b & d) for masks
 (u, d) of a alone, and op(b, a) is the same with the masks of the
 operator whose arguments are swapped.
 
-Rows that fit in a byte are handled as byte strings, a row's images
-being the rows translated through the 256-byte table of b -> u ^ (b & d),
-built once per map and process. A check deletes every present byte from
-the images of each distinct map, which must leave nothing. The closure
+Rows that fit in a byte are handled as byte strings. Per operator, row
+a looks up the 256-byte table of op(a, .), b -> u ^ (b & d), built the
+first time it is used and kept for the process. A check translates the
+first row's images alone, then every row's images as one joined string,
+and deletes the present bytes, which must leave nothing. The closure
 translates the rows so far through the tables of op(a, .) and op(., a),
 interleaves the two, deletes the present rows and appends the rest in
 first-occurrence order: a few C-level calls per worklist row. Wider rows
@@ -66,6 +67,26 @@ def _byte_maps(table: int, mask: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(u.to_bytes(256, "big"), d.to_bytes(256, "big")))[: mask + 1]
 
 
+class _RowTables(dict):
+    """Row a -> the 256-byte table of op(a, .) for one (table, mask),
+    built from _byte_maps the first time row a is looked up."""
+
+    __slots__ = ("maps",)
+
+    def __init__(self, table: int, mask: int):
+        self.maps = _byte_maps(table, mask)
+
+    def __missing__(self, a: int) -> bytes:
+        t = self[a] = _map_table(*self.maps[a])
+        return t
+
+
+@cache
+def _row_tables(table: int, mask: int) -> _RowTables:
+    """The row-table lookup of a truth table at a width of at most 8."""
+    return _RowTables(table, mask)
+
+
 def _swapped(table: int) -> int:
     """The truth table of op(b, a): the (0, 1) and (1, 0) entries trade places."""
     return (table & 9) | (table >> 1 & 2) | (table << 1 & 4)
@@ -74,35 +95,39 @@ def _swapped(table: int) -> int:
 def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: int) -> bool:
     """True iff op(a, b) is in present for every a, b in values.
 
-    The images {u ^ (b & d) for b} of one left row a are tested at a
-    time, stopping at the first row whose images leave present. A row
-    with d == 0 has the single image u. Rows with equal masks have
-    equal images, so each (u, d) is checked once: under op(a, b) = b
-    every row maps to (0, all ones), and a large row set costs one
-    image test, not n.
-
     When the rows fit in a byte (mask < 256) the values are one bytes
     object, and a row's images are that object translated through the
-    256-byte table of b -> u ^ (b & d); they all lie in present when
-    deleting the present bytes leaves nothing. The masks and tables are
-    built once per process. Wider rows build the set of images instead.
+    256-byte table of op(a, .); they all lie in present when deleting
+    the present bytes leaves nothing. The first left row is tested
+    alone, since most failing checks fail on it; then every row's images
+    are translated, joined and tested in one deletion.
+
+    Wider rows build the set {u ^ (b & d) for b} of one left row's images
+    at a time, stopping at the first row whose images leave present. A
+    row with d == 0 has the single image u. Rows with equal masks have
+    equal images, so each (u, d) is checked once: under op(a, b) = b
+    every row maps to (0, all ones), and a large row set costs one image
+    test, not n.
     """
-    byte = mask < 256
-    if byte:
-        maps = _byte_maps(table, mask)
+    if mask < 256:
+        if not values:
+            return True
+        tables = _row_tables(table, mask)
         rows = bytes(values)
         keep = bytes(present)
+        if rows.translate(tables[rows[0]]).translate(None, keep):
+            return False
+        return not b"".join(map(rows.translate, map(tables.__getitem__, rows))).translate(
+            None, keep
+        )
     seen = set()
     for a in values:
-        u, d = ud = maps[a] if byte else row_map(table, a, mask)
+        u, d = ud = row_map(table, a, mask)
         if d:
             if ud in seen:
                 continue
             seen.add(ud)
-            if byte:
-                if rows.translate(_map_table(u, d)).translate(None, keep):
-                    return False
-            elif not {u ^ (b & d) for b in values} <= present:
+            if not {u ^ (b & d) for b in values} <= present:
                 return False
         elif u not in present:
             return False
@@ -197,21 +222,25 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
 
 
 def _byte_closure(table: int, values: tuple[int, ...], mask: int) -> bytearray:
-    """closure's rows for rows that fit in a byte, in the same order."""
-    maps = _byte_maps(table, mask)
-    swapped = _byte_maps(_swapped(table), mask)
+    """closure's rows for rows that fit in a byte, in the same order.
+
+    A row's op(a, .) table determines its (u, d), so the tables seen so
+    far stand for the maps whose images op(a, b) are already present.
+    """
+    tables = _row_tables(table, mask)
+    swapped = _row_tables(_swapped(table), mask)
     rows = bytearray(values)
     seen = set()
     # iterating a bytearray reads its length at every step, so the rows
     # appended below are visited in turn
     for i, a in enumerate(rows, 1):
         head = rows[:i]
-        images = head.translate(_map_table(*swapped[a]))  # op(b, a)
-        ud = maps[a]
-        if ud not in seen:
-            seen.add(ud)
+        images = head.translate(swapped[a])  # op(b, a)
+        forward = tables[a]
+        if forward not in seen:
+            seen.add(forward)
             pairs = bytearray(2 * i)
-            pairs[0::2] = head.translate(_map_table(*ud))  # op(a, b)
+            pairs[0::2] = head.translate(forward)  # op(a, b)
             pairs[1::2] = images
             images = pairs
         new = images.translate(None, rows)

@@ -2,6 +2,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurelab import (
     WIDTH_CAP,
@@ -183,6 +185,24 @@ def test_column_sum_trivial_cases():
         column_sum(eye, 4)
     with pytest.raises(IndexOutOfRange):
         column_sum(eye, 0)
+
+
+@st.composite
+def matrices_up_to_width_16(draw):
+    width = draw(st.integers(1, 16))
+    values = draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=40, unique=True)
+    )
+    return BinaryMatrix.from_values(width, values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(m=matrices_up_to_width_16())
+def test_column_sum_matches_the_oracle_at_widths_1_to_16(m):
+    # Widths up to 8 count by deleting bytes, wider ones by masking.
+    tuples = matrix_tuples(m)
+    for j in range(1, m.width + 1):
+        assert column_sum(m, j) == column_count_oracle(tuples, j), j
 
 
 def test_column_sum_plus_zero_count_is_n():

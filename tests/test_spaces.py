@@ -29,7 +29,7 @@ from closurelab import (
 from closurelab.enumeration import _closed_mask_direct, _neg_closed
 from closurelab.errors import ParameterOutOfRange, PreconditionViolated
 from closurelab.operators import apply_values
-from closurelab.spaces import closed_under, row_map
+from closurelab.spaces import _RowTables, _row_tables, closed_under, row_map
 
 from conftest import (
     SEMANTICS,
@@ -272,6 +272,74 @@ def test_closed_under_matches_oracle_at_width_8_with_nonzero_u():
                 assert closed_under(op.table, values, set(values), 255) == expected, (op, values)
                 outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def first_row_passing_set(table: int, width: int, rng: random.Random):
+    """Rows whose first row's images all lie among them while the rows
+    are not closed under the table, or None if 200 tries find none.
+
+    The first row a and a few random rows are grown by the images
+    op(a, b) until a's images are present; the set is kept when some
+    later row still has an image outside it."""
+    mask = (1 << width) - 1
+    for _ in range(200):
+        a = rng.randrange(mask + 1)
+        values = [a] + [b for b in rng.sample(range(mask + 1), min(mask + 1, 3)) if b != a]
+        while True:
+            present = set(values)
+            new = [r for r in dict.fromkeys(apply_values(table, a, b, mask) for b in values)
+                   if r not in present]
+            if not new:
+                break
+            values += new
+        tuples = matrix_tuples(BinaryMatrix.from_values(width, values))
+        if not closed_oracle(tuples, BoolOp(table).output):
+            return tuple(values)
+    return None
+
+
+def test_closed_under_fails_on_a_later_row_after_the_first_passes():
+    # The byte path tests the first left row alone and then every row in
+    # one joined translate; this set passes the first test and must fail
+    # the second. None exists at width 1, whose only two-row set is the
+    # whole space, nor for tables whose images do not depend on a (0, 5,
+    # 10, 15) or are a itself (12), where the first row decides.
+    rng = random.Random(17)
+    missing = set()
+    for width in range(1, 9):
+        mask = (1 << width) - 1
+        for table in range(16):
+            values = first_row_passing_set(table, width, rng)
+            if values is None:
+                missing.add((table, width))
+                continue
+            assert not closed_under(table, values, set(values), mask), (table, values)
+    assert missing == {(t, 1) for t in range(16)} | {
+        (t, w) for t in (0, 5, 10, 12, 15) for w in range(1, 9)
+    }
+
+
+@pytest.mark.parametrize("mask", [255, 511])
+def test_closed_under_empty_values_is_true(mask):
+    # On the byte path (mask 255) and the image-set path (mask 511).
+    for table in range(16):
+        assert closed_under(table, (), set(), mask)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_row_tables_translate_rows_like_apply_values(width):
+    # Each table is checked twice: built on first use in a fresh lookup,
+    # then read from the process-wide one, which may have cached it.
+    mask = (1 << width) - 1
+    values = list(range(mask + 1))
+    if width > 6:
+        values = random.Random(width).sample(values, 64)
+    rows = bytes(values)
+    for table in range(16):
+        for lookup in (_RowTables(table, mask), _row_tables(table, mask)):
+            for a in range(mask + 1):
+                expected = bytes(apply_values(table, a, b, mask) for b in values)
+                assert rows.translate(lookup[a]) == expected, (table, a)
 
 
 def test_closure_or_join():
