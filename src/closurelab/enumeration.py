@@ -393,15 +393,33 @@ def _chunk_args(cfg: CampaignConfig) -> list[tuple]:
     return args
 
 
-def _dump_reproducers(failures: list, config: dict, dump_dir: Path) -> list[str]:
+def _sample_lines(cfg: CampaignConfig) -> dict[str, list[str]]:
+    """Per random-mode family ref, the reproducer lines naming its drawn
+    operator and its distinct generator rows (values as JSON), so that
+    `close --op <op>` on those rows rebuilds the family in row order."""
+    names = {op.table: op_name(op) for op in RANDOM_OPS}
+    return {
+        f"s{index}": [
+            f"# op: {json.dumps(names[op_table])}",
+            f"# generator_rows: {json.dumps([f'{g:0{cfg.width}b}' for g in dict.fromkeys(gens)])}",
+        ]
+        for index, op_table, gens in _draw_samples(cfg)
+    }
+
+
+def _dump_reproducers(
+    failures: list, config: dict, dump_dir: Path, samples: dict[str, list[str]]
+) -> list[str]:
     """Write each failing family as a ".bm" file whose leading "#" lines
-    name the theorem, its message, the family and the campaign config
+    name the theorem, its message, the family, the drawn sample of a
+    random-mode family (see _sample_lines) and the campaign config
     (values as JSON)."""
     dump_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for ref, name, message, width, values in failures:
         header = [f"# theorem: {name}", f"# message: {' '.join(message.split())}"]
         header.append(f"# family: {ref}")
+        header += samples.get(ref, [])
         header += [f"# {key}: {json.dumps(value)}" for key, value in config.items()]
         body = format_matrix(BinaryMatrix.from_values(width, values))
         path = dump_dir / f"repro-{name}-{ref}.bm"
@@ -441,7 +459,8 @@ def run_campaign(cfg: CampaignConfig, dump_dir: str | Path = ".") -> CampaignSum
     }
 
     if failures:
-        paths = _dump_reproducers(failures, config, Path(dump_dir))
+        samples = _sample_lines(cfg) if cfg.mode == "random" else {}
+        paths = _dump_reproducers(failures, config, Path(dump_dir), samples)
         raise CampaignFailure(
             f"{len(paths)} check failure(s); reproducers written: " + ", ".join(paths),
             paths,

@@ -305,6 +305,40 @@ def test_column_sums_match_the_oracle_across_field_widths():
                 assert column_sums(width, values) == expected, (width, n)
 
 
+@st.composite
+def rows_up_to_width_64(draw):
+    """A width in [1, 64] and 0-300 rows of it, repeats allowed."""
+    width = draw(st.integers(1, WIDTH_CAP))
+    values = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=300))
+    return width, values
+
+
+def column_sums_oracle(width, values):
+    tuples = [tuple(map(int, format(v, f"0{width}b"))) for v in values]
+    return [column_count_oracle(tuples, j) for j in range(1, width + 1)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=rows_up_to_width_64())
+def test_column_sums_match_the_oracle_at_widths_1_to_64(case):
+    # Up to width 8 the rows are the lane integer; wider rows give one per
+    # byte offset, the last one holding fewer than eight columns.
+    width, values = case
+    assert column_sums(width, values) == column_sums_oracle(width, values)
+
+
+@pytest.mark.parametrize("width", [1, 8, 9, 64])
+def test_column_sums_of_no_rows_are_zero(width):
+    assert column_sums(width, []) == [0] * width
+    assert column_sums(width, ()) == [0] * width
+
+
+def test_column_sums_of_a_large_width_16_matrix():
+    # The shape of the large file the psi and convert verbs read.
+    values = random.Random(16).sample(range(1 << 16), 20000)
+    assert column_sums(16, values) == column_sums_oracle(16, values)
+
+
 def _reference_parse_matrix(text, source="<input>"):
     """The one-line-at-a-time ".bm" parser that parse_matrix replaces."""
     seen = {}

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -28,6 +29,7 @@ from closurelab import (
 from closurelab import enumeration, witnesses
 from closurelab.cli import cli
 from closurelab.enumeration import (
+    RANDOM_OPS,
     THEOREM_NAMES,
     _chunk_args,
     _chunk_families,
@@ -44,7 +46,7 @@ from closurelab.errors import (
     PreconditionViolated,
     WidthCapExceeded,
 )
-from closurelab.operators import CLONE
+from closurelab.operators import CLONE, op_name
 from closurelab.spaces import closed_under
 
 from conftest import SEMANTICS, closed_oracle, matrix_tuples
@@ -325,6 +327,44 @@ def test_campaign_failure_dumps_reproducer(tmp_path, monkeypatch):
     assert json.loads(header["width"]) == 1
     assert json.loads(header["mode"]) == "exhaustive"
     assert json.loads(header["seed"]) is None
+
+
+def test_random_reproducer_names_its_operator_and_generators(tmp_path, monkeypatch):
+    # Zero column sums fail the count flip on every family. Each random-mode
+    # reproducer names its drawn operator and distinct generator rows, and
+    # the close verb on those rows prints the reproducer's rows in order.
+    monkeypatch.setattr(enumeration, "column_sums", lambda width, values: [0] * width)
+    cfg = CampaignConfig(width=3, mode="random", sample_count=40, generator_count=3, seed=5)
+    with pytest.raises(CampaignFailure):
+        run_campaign(cfg, dump_dir=tmp_path / "random")
+    dumped = sorted((tmp_path / "random").glob("repro-complement_count_flip-*.bm"))
+    assert len(dumped) == 40
+    ops, short = set(), 0
+    for path in dumped:
+        text = path.read_text()
+        header = reproducer_header(text)
+        op = json.loads(header["op"])
+        rows = json.loads(header["generator_rows"])
+        assert len(set(rows)) == len(rows) and all(len(r) == 3 for r in rows)
+        generators = tmp_path / f"gens-{header['family']}.bm"
+        generators.write_text("".join(f"{r}\n" for r in rows))
+        result = CliRunner().invoke(cli, ["close", str(generators), "--op", op, "--format", "text"])
+        assert result.exit_code == 0
+        body = "".join(line + "\n" for line in text.splitlines() if not line.startswith("#"))
+        assert result.output == body, path.name
+        ops.add(op)
+        short += len(rows) < 3
+    assert ops == {op_name(op) for op in RANDOM_OPS}
+    assert short > 0  # repeated draws are written once
+
+    # Exhaustive reproducers carry no sample lines.
+    with pytest.raises(CampaignFailure) as exc:
+        run_campaign(CampaignConfig(width=2, mode="exhaustive"), dump_dir=tmp_path / "exhaustive")
+    for path in exc.value.reproducers:
+        header = reproducer_header(Path(path).read_text())
+        assert list(header) == [
+            "theorem", "message", "family", "width", "mode", "samples", "generators", "seed"
+        ]
 
 
 _REAL_COL_SUMS = enumeration.column_sums
