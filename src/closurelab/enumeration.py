@@ -437,14 +437,15 @@ def run_campaign(cfg: CampaignConfig, dump_dir: str | Path = ".") -> CampaignSum
     runs with the same config and seed, whatever the parallelism.
     """
     chunks = _chunk_args(cfg)
-    if cfg.parallelism == 1:
+    # The pool starts every worker up front; more than one per chunk
+    # would only idle, and a single worker runs in-process.
+    workers = min(cfg.parallelism, len(chunks))
+    if workers == 1:
         results = [_run_chunk(c) for c in chunks]
     else:
-        # The pool starts every worker up front; more than one per chunk
-        # would only idle. Workers share no state, so any start method
-        # gives the same results. Tasks of several chunks (about eight a
-        # worker) cut the per-task cost and keep costly chunks balanced.
-        workers = min(cfg.parallelism, len(chunks))
+        # Workers share no state, so any start method gives the same
+        # results. Tasks of several chunks (about eight a worker) cut the
+        # per-task cost and keep costly chunks balanced.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(chunks) // (8 * workers))
             results = list(pool.map(_run_chunk, chunks, chunksize=chunksize))

@@ -15,7 +15,12 @@ translates the rows so far through the tables of op(a, .) and op(., a),
 interleaves the two, deletes the present rows and appends the rest in
 first-occurrence order: a few C-level calls per worklist row. Wider rows
 build one Python set of images per left row to check, and pair one row
-at a time to close, with the skip rules `closure` documents.
+at a time to close.
+
+Six tables ignore an argument: the two constants, the two projections
+and their negations. Under these, every image op(a, b) is h(a) or h(b)
+for the diagonal h(x) = op(x, x), so the wide kernels check and close
+them through h alone, one image per row.
 
 The column-sum statistics record, for each matrix, the set of column
 sums, the best column, and whether that column covers at least half
@@ -92,6 +97,20 @@ def _swapped(table: int) -> int:
     return (table & 9) | (table >> 1 & 2) | (table << 1 & 4)
 
 
+def _diagonal(table: int, mask: int) -> tuple[int, int] | None:
+    """Masks (u, d) of the diagonal op(x, x) == u ^ (x & d) when the table
+    ignores an argument, else None.
+
+    A table ignores b iff op(a, 0) == op(a, 1) for each a, that is
+    (table & 5) == (table >> 1 & 5), and ignores a iff
+    (table & 3) == (table >> 2 & 3): tables 0, 3, 5, 10, 12 and 15.
+    """
+    if (table & 5) != (table >> 1 & 5) and (table & 3) != (table >> 2 & 3):
+        return None
+    u = apply_values(table, 0, 0, mask)
+    return u, u ^ apply_values(table, mask, mask, mask)
+
+
 def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: int) -> bool:
     """True iff op(a, b) is in present for every a, b in values.
 
@@ -104,10 +123,7 @@ def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: i
 
     Wider rows build the set {u ^ (b & d) for b} of one left row's images
     at a time, stopping at the first row whose images leave present. A
-    row with d == 0 has the single image u. Rows with equal masks have
-    equal images, so each (u, d) is checked once: under op(a, b) = b
-    every row maps to (0, all ones), and a large row set costs one image
-    test, not n.
+    table that ignores an argument tests the one set of diagonal images.
     """
     if mask < 256:
         if not values:
@@ -120,16 +136,13 @@ def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: i
         return not b"".join(map(rows.translate, map(tables.__getitem__, rows))).translate(
             None, keep
         )
-    seen = set()
+    diagonal = _diagonal(table, mask)
+    if diagonal is not None:
+        u, d = diagonal
+        return {u ^ (a & d) for a in values} <= present
     for a in values:
-        u, d = ud = row_map(table, a, mask)
-        if d:
-            if ud in seen:
-                continue
-            seen.add(ud)
-            if not {u ^ (b & d) for b in values} <= present:
-                return False
-        elif u not in present:
+        u, d = row_map(table, a, mask)
+        if not {u ^ (b & d) for b in values} <= present:
             return False
     return True
 
@@ -156,27 +169,18 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
     op(a, b) then op(b, a) for b = rows 0..i in turn, each new image once,
     at its first occurrence. With a fixed, op(a, b) is u ^ (b & d) for
     the masks (u, d) = row_map(table, a), and op(b, a) is the same with
-    the masks of the swapped table. Two rules skip the images op(a, b)
-    and keep that order exactly:
-
-    - a row whose (u, d) appeared on an earlier row k has row k's
-      images op(a, b), all present by the time they come up;
-    - a row with d == 0 has the single image u as op(a, b), so once u
-      is added only its images op(b, a) remain.
+    the masks of the swapped table.
 
     When the rows fit in a byte (mask < 256) the rows are one bytearray
     and row i costs a few C-level calls. rows[:i+1] translated through
     the 256-byte table of each map gives the images op(a, b) and op(b, a);
     the two are interleaved, the present rows deleted, and the rest
-    appended in first-occurrence order. A row whose (u, d) appeared
-    before translates only for op(b, a), which covers the second rule
-    too: its first row adds u. Wider rows pair one at a time and keep a
-    third rule: op(b, a) repeats op(b', a) when an earlier b' has b's
-    masks, and is b's own present u when b's d == 0, so only the rows
-    where a map with d != 0 first appeared give images op(b, a). Under a
-    constant, a projection or a negated projection no row after the
-    first pairs with every earlier row, so the wide closure is linear in
-    the rows. The result is a plain BinaryMatrix of at most 2**width rows.
+    appended in first-occurrence order. Wider rows pair one at a time,
+    except under a table that ignores an argument: there every image of
+    an earlier row's pairs is present, so row i's only possible new image
+    is its diagonal, and appending the absent diagonals in worklist order
+    is the same closure, linear in the rows. The result is a plain
+    BinaryMatrix of at most 2**width rows.
     """
     width = generators.width
     mask = (1 << width) - 1
@@ -185,65 +189,51 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
     table = op.table
     rows = list(generators.row_values)
     present = set(rows)
+    diagonal = _diagonal(table, mask)
+    # iterating a list reads its length at every step, so the rows
+    # appended below are visited in turn
+    if diagonal is not None:
+        u, d = diagonal
+        for a in rows:
+            r = u ^ (a & d)
+            if r not in present:
+                present.add(r)
+                rows.append(r)
+        return _packed_matrix(width, tuple(rows))
     maps: list[tuple[int, int]] = []  # (u, d) of every row so far
-    seen: set[tuple[int, int]] = set()
-    movers: list[tuple[int, int]] = []  # first occurrences of each (u, d) with d != 0
-    i = 0
-    while i < len(rows):
-        a = rows[i]
+    for a in rows:
         ua, da = ud = row_map(table, a, mask)
         maps.append(ud)
-        if ud not in seen and da:
-            seen.add(ud)
-            movers.append(ud)
-            # maps has i + 1 entries, so zip stops after row i
-            for b, (ub, db) in zip(rows, maps):
-                r = ua ^ (b & da)
-                if r not in present:
-                    present.add(r)
-                    rows.append(r)
-                r = ub ^ (a & db)
-                if r not in present:
-                    present.add(r)
-                    rows.append(r)
-        else:
-            if ud not in seen:
-                seen.add(ud)
-                if ua not in present:
-                    present.add(ua)
-                    rows.append(ua)
-            for ub, db in movers:
-                r = ub ^ (a & db)
-                if r not in present:
-                    present.add(r)
-                    rows.append(r)
-        i += 1
+        # maps ends with a's masks, so zip stops after row a
+        for b, (ub, db) in zip(rows, maps):
+            r = ua ^ (b & da)
+            if r not in present:
+                present.add(r)
+                rows.append(r)
+            r = ub ^ (a & db)
+            if r not in present:
+                present.add(r)
+                rows.append(r)
     return _packed_matrix(width, tuple(rows))
 
 
 def _byte_closure(table: int, values: tuple[int, ...], mask: int) -> bytearray:
     """closure's rows for rows that fit in a byte, in the same order.
 
-    A row's op(a, .) table determines its (u, d), so the tables seen so
-    far stand for the maps whose images op(a, b) are already present.
+    Every table takes the same path: a table that ignores an argument
+    re-translates rows whose images are present, at most 256 of them.
     """
     tables = _row_tables(table, mask)
     swapped = _row_tables(_swapped(table), mask)
     rows = bytearray(values)
-    seen = set()
     # iterating a bytearray reads its length at every step, so the rows
     # appended below are visited in turn
     for i, a in enumerate(rows, 1):
         head = rows[:i]
-        images = head.translate(swapped[a])  # op(b, a)
-        forward = tables[a]
-        if forward not in seen:
-            seen.add(forward)
-            pairs = bytearray(2 * i)
-            pairs[0::2] = head.translate(forward)  # op(a, b)
-            pairs[1::2] = images
-            images = pairs
-        new = images.translate(None, rows)
+        pairs = bytearray(2 * i)
+        pairs[0::2] = head.translate(tables[a])  # op(a, b)
+        pairs[1::2] = head.translate(swapped[a])  # op(b, a)
+        new = pairs.translate(None, rows)
         if new:
             rows += bytes(dict.fromkeys(new))
     return rows

@@ -528,3 +528,8 @@ def test_pool_workers_are_clamped_to_the_chunk_count(monkeypatch):
     wide = run_campaign(CampaignConfig(width=2, mode="exhaustive", parallelism=500))
     assert requested == [15]  # width 2 splits into one chunk per family
     assert wide.to_json() == run_campaign(CampaignConfig(width=2, mode="exhaustive")).to_json()
+    # One sample is one chunk: the single worker runs in-process, no pool.
+    one = dict(width=4, mode="random", sample_count=1, seed=3)
+    single = run_campaign(CampaignConfig(**one, parallelism=4))
+    assert requested == [15]
+    assert single.to_json() == run_campaign(CampaignConfig(**one)).to_json()

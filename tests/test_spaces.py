@@ -29,7 +29,7 @@ from closurelab import (
 from closurelab.enumeration import _closed_mask_direct, _neg_closed
 from closurelab.errors import ParameterOutOfRange, PreconditionViolated
 from closurelab.operators import apply_values
-from closurelab.spaces import _RowTables, _row_tables, closed_under, row_map
+from closurelab.spaces import _diagonal, _RowTables, _row_tables, closed_under, row_map
 
 from conftest import (
     SEMANTICS,
@@ -159,8 +159,28 @@ def test_closed_under_with_present_a_strict_superset():
     assert True in outcomes and False in outcomes
 
 
+#: The tables that ignore an argument: constants, projections, negations.
+DIAGONAL_TABLES = (0, 3, 5, 10, 12, 15)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_diagonal_decides_exactly_the_tables_that_ignore_an_argument(width):
+    # Every image of such a table is the diagonal of one of its arguments.
+    mask = (1 << width) - 1
+    for table in range(16):
+        diagonal = _diagonal(table, mask)
+        assert (diagonal is not None) == (table in DIAGONAL_TABLES), table
+        if diagonal is None:
+            continue
+        u, d = diagonal
+        for a in range(mask + 1):
+            for b in range(mask + 1):
+                image = apply_values(table, a, b, mask)
+                assert image in (u ^ (a & d), u ^ (b & d)), (table, a, b)
+
+
 def test_projection_closure_of_many_rows_within_budget():
-    # Under op(a, b) = b every row has the same masks (u, d), so the
+    # Under op(a, b) = b every image is the diagonal of a row, so the
     # kernel checks one image set, not one per row: linear, not quadratic.
     m = BinaryMatrix.from_values(16, random.Random(16).sample(range(1 << 16), 8000))
     t0 = time.perf_counter()
@@ -171,8 +191,8 @@ def test_projection_closure_of_many_rows_within_budget():
 
 
 def test_degenerate_closure_of_many_rows_within_budget():
-    # Under a constant, a projection or a negated projection no row after
-    # the first pairs with every earlier row, so closure is linear.
+    # Under a constant, a projection or a negated projection every image
+    # is a row's diagonal, so closure appends diagonals and is linear.
     m = BinaryMatrix.from_values(16, random.Random(16).sample(range(1 << 16), 4000))
     for table in (10, 12, 0, 15, 5, 3):
         t0 = time.perf_counter()
@@ -236,12 +256,19 @@ def test_byte_closure_row_order_matches_pair_loop_reference(width):
 @pytest.mark.parametrize("width", [9, 16])
 def test_wide_closure_row_order_matches_pair_loop_reference(width):
     # Rows wider than a byte take the one-pair-at-a-time worklist. Three
-    # generators keep every closure within 256 rows.
+    # generators keep every closure within 256 rows. The tables that
+    # ignore an argument close through their diagonal, which stays linear,
+    # so they also take 40 generators: their appended diagonals then
+    # follow the generators in the pair loop's order.
     rng = random.Random(width)
     for op in _OPS:
         for count in (1, 2, 3):
             gens = random_distinct_matrix(rng, width, count)
             assert closure(gens, op).row_values == closure_reference(gens, op), (gens, op)
+    for table in DIAGONAL_TABLES:
+        gens = random_distinct_matrix(rng, width, 40)
+        op = BoolOp(table)
+        assert closure(gens, op).row_values == closure_reference(gens, op), (gens, op)
 
 
 @pytest.mark.parametrize("width", [3, 8, 9])
