@@ -4,7 +4,8 @@ One executable, one verb per operation family. Inputs are ".bm" or
 ".fam" files (or "-" for stdin); the two formats are detected by
 content. A family is a matrix read as subsets, so every verb takes
 either. Exit codes: 0 success, 1 precondition or verification failure,
-2 input, parse or usage errors.
+2 input, parse or usage errors. The verbs let package errors propagate;
+the command group's `invoke` maps them onto exit 1 or 2 in one place.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     CampaignFailure,
     ClosureLabError,
     NotDecomposable,
-    ParseError,
     PreconditionViolated,
     VerificationFailed,
 )
@@ -66,10 +66,7 @@ def _read_text(path: str, source: str) -> str:
 
 def _load_any(path: str) -> BinaryMatrix:
     source = "<stdin>" if path == "-" else path
-    try:
-        return parse_any(_read_text(path, source), source)
-    except ParseError as exc:
-        _fail(2, str(exc))
+    return parse_any(_read_text(path, source), source)
 
 
 def _emit(text: str, output: str | None):
@@ -112,7 +109,20 @@ _OUTPUT = click.option("--output", type=str, default=None, help="Write to a file
 _INPUT = click.argument("input", type=str)
 
 
-@click.group()
+class _Cli(click.Group):
+    """The command group: a failed precondition or verification in any
+    verb exits 1, and every other package error exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _VERIFY_ERRORS as exc:
+            _fail(1, str(exc))
+        except ClosureLabError as exc:
+            _fail(2, str(exc))
+
+
+@click.group(cls=_Cli)
 def cli():
     """Binary matrices closed under logical operators: closures, column
     statistics, bases, theorem witnesses and verification campaigns."""
@@ -195,11 +205,7 @@ def psi_cmd(input, fmt, output):
 @_OUTPUT
 def canon_cmd(input, fmt, output):
     """Canonical form under row and column permutations."""
-    m = _load_any(input)
-    try:
-        form = canonicalize(m)
-    except ClosureLabError as exc:
-        _fail(2, str(exc))
+    form = canonicalize(_load_any(input))
     _emit_matrix(
         form.matrix, fmt, output, row_perm=list(form.row_perm), col_perm=list(form.col_perm)
     )
@@ -212,11 +218,8 @@ def canon_cmd(input, fmt, output):
 def basis_cmd(input, fmt, output):
     """Orthogonal basis and per-row decompositions of an AND/ABJ-closed set."""
     m = _load_any(input)
-    try:
-        b = compute_basis(m)
-        rows = [(row, sorted(decompose(row, b).index_set)) for row in m.rows]
-    except _VERIFY_ERRORS as exc:
-        _fail(1, str(exc))
+    b = compute_basis(m)
+    rows = [(row, sorted(decompose(row, b).index_set)) for row in m.rows]
     if fmt == "json":
         _emit_json(
             {
@@ -244,11 +247,7 @@ _WITNESSES = {t.verb: t.witness for t in THEOREMS if t.verb}
 @_OUTPUT
 def witness_cmd(operator, input, fmt, output):
     """Certified column (or element) covering at least half the rows."""
-    m = _load_any(input)
-    try:
-        w = _WITNESSES[operator](m)
-    except _VERIFY_ERRORS as exc:
-        _fail(1, str(exc))
+    w = _WITNESSES[operator](_load_any(input))
     cert = {
         "operator": operator,
         "column_or_element": w.column,
@@ -273,11 +272,7 @@ def counterexample_group():
 @_OUTPUT
 def counterexample_identity_cmd(n, fmt, output):
     """The n unit rows atop the zero row; every column sums to 1."""
-    try:
-        m = counterexample_identity(n)
-    except ClosureLabError as exc:
-        _fail(2, str(exc))
-    _emit_matrix(m, fmt, output)
+    _emit_matrix(counterexample_identity(n), fmt, output)
 
 
 @counterexample_group.command("block")
@@ -287,11 +282,7 @@ def counterexample_identity_cmd(n, fmt, output):
 @_OUTPUT
 def counterexample_block_cmd(n, k, fmt, output):
     """Block construction whose best column sums to k+1."""
-    try:
-        m = counterexample_block(n, k)
-    except ClosureLabError as exc:
-        _fail(2, str(exc))
-    _emit_matrix(m, fmt, output)
+    _emit_matrix(counterexample_block(n, k), fmt, output)
 
 
 @cli.command("campaign")
@@ -311,21 +302,15 @@ def campaign_cmd(width, mode, samples, generators, seed, jobs, output):
     directory, or into $CLOSURELAB_DUMP_DIR when set.
     """
     dump_dir = os.environ.get("CLOSURELAB_DUMP_DIR", ".")
-    try:
-        cfg = CampaignConfig(
-            width=width,
-            mode=mode,
-            sample_count=samples,
-            generator_count=generators,
-            seed=seed,
-            parallelism=jobs,
-        )
-        summary = run_campaign(cfg, dump_dir=dump_dir)
-    except CampaignFailure as exc:
-        _fail(1, str(exc))
-    except ClosureLabError as exc:
-        _fail(2, str(exc))
-    _emit(summary.to_json(), output)
+    cfg = CampaignConfig(
+        width=width,
+        mode=mode,
+        sample_count=samples,
+        generator_count=generators,
+        seed=seed,
+        parallelism=jobs,
+    )
+    _emit(run_campaign(cfg, dump_dir=dump_dir).to_json(), output)
 
 
 @cli.command("convert")

@@ -49,7 +49,7 @@ from .operators import (
     BoolOp,
     op_name,
 )
-from .spaces import closed_under, closure, row_map
+from .spaces import _row_tables, closed_under, closure
 from .witnesses import THEOREMS, ImpChain
 
 EXHAUSTIVE_WIDTH_CAP = 4
@@ -140,9 +140,9 @@ def _image_tables(width: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     tables = []
     for op in range(16):
         triples = []
+        images = _row_tables(op, mask)
         for a in rows:
-            u, d = row_map(op, a, mask)
-            triples += [(a, b, r) for b in rows if (r := u ^ (b & d)) != a and r != b]
+            triples += [(a, b, r) for b in rows if (r := images[a][b]) != a and r != b]
         tables.append(tuple(triples))
     return tuple(tables)
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: input problems (parsing, malformed
-construction parameters) exit 2, failed preconditions or verification
-exit 1.
+The CLI's command group maps these onto exit codes for every verb:
+failed preconditions or verification exit 1, and every other error
+(parsing, malformed construction parameters) exits 2.
 """
 
 

@@ -10,9 +10,10 @@ is closed under the other.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .bitcore import BinaryMatrix, BitRow, _decimal, _packed_matrix
+from .bitcore import BinaryMatrix, BitRow, _packed_matrix
 from .errors import WidthMismatch
 
 
@@ -111,13 +112,10 @@ def parse_op(text: str) -> OpLike:
         return NEGATION
     if name in _ALIASES:
         return _ALIASES[name]
-    if name.startswith("tt:"):
-        try:
-            table = _decimal(name[3:])
-        except ValueError:
-            table = -1
-        if 0 <= table <= 15:
-            return BoolOp(table)
+    # ASCII digits of value at most 15; int() alone would take "-0" and "+3".
+    table = re.fullmatch(r"tt:0*(1[0-5]|[0-9])", name)
+    if table:
+        return BoolOp(int(table[1]))
     raise ValueError(f"unknown operator {text!r}")
 
 

@@ -62,34 +62,29 @@ def _map_table(u: int, d: int) -> bytes:
     return ((_EVERY_BYTE & _EACH_BYTE * d) ^ _EACH_BYTE * u).to_bytes(256, "big")
 
 
-@cache
-def _byte_maps(table: int, mask: int) -> tuple[tuple[int, int], ...]:
-    """row_map(table, a, mask) for every row a of a width of at most 8,
-    computed for all rows at once on the 256 bytes of _EVERY_BYTE."""
-    masks = _EACH_BYTE * mask
-    u = apply_values(table, _EVERY_BYTE, 0, masks)
-    d = u ^ apply_values(table, _EVERY_BYTE, masks, masks)
-    return tuple(zip(u.to_bytes(256, "big"), d.to_bytes(256, "big")))[: mask + 1]
-
-
 class _RowTables(dict):
-    """Row a -> the 256-byte table of op(a, .) for one (table, mask),
-    built from _byte_maps the first time row a is looked up."""
+    """Row a -> the 256-byte table of op(a, .) for one (table, mask) at a
+    width of at most 8, built the first time row a is looked up.
+
+    The masks row_map(table, a, mask) of every row are computed at once
+    on the 256 bytes of _EVERY_BYTE.
+    """
 
     __slots__ = ("maps",)
 
     def __init__(self, table: int, mask: int):
-        self.maps = _byte_maps(table, mask)
+        masks = _EACH_BYTE * mask
+        u = apply_values(table, _EVERY_BYTE, 0, masks)
+        d = u ^ apply_values(table, _EVERY_BYTE, masks, masks)
+        self.maps = tuple(zip(u.to_bytes(256, "big"), d.to_bytes(256, "big")))[: mask + 1]
 
     def __missing__(self, a: int) -> bytes:
         t = self[a] = _map_table(*self.maps[a])
         return t
 
 
-@cache
-def _row_tables(table: int, mask: int) -> _RowTables:
-    """The row-table lookup of a truth table at a width of at most 8."""
-    return _RowTables(table, mask)
+#: The process-wide row-table lookup of each (table, mask).
+_row_tables = cache(_RowTables)
 
 
 def _swapped(table: int) -> int:

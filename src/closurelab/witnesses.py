@@ -172,24 +172,18 @@ def _topology_gate(m: BinaryMatrix) -> None:
     # Union is OR of the rows; a nonempty intersection is an AND image
     # other than the empty row 0, so AND closure that admits 0 decides it.
     values = m.row_values
-    unions = is_closed(m, OR)
-    meets = closed_under(AND.table, values, {*values, 0}, (1 << m.width) - 1)
-    not_unions = "family is not closed under union"
-    not_meets = "family is not closed under nonempty intersection"
-    if not unions and not meets:
-        # Both fail: the first failing pair in member order names the check.
+    if not (
+        is_closed(m, OR) and closed_under(AND.table, values, {*values, 0}, (1 << m.width) - 1)
+    ):
+        # The first failing pair in member order names the failed check.
         present = set(values)
         for a in values:
             for b in values:
                 if a | b not in present:
-                    raise PreconditionViolated(not_unions)
+                    raise PreconditionViolated("family is not closed under union")
                 meet = a & b
                 if meet and meet not in present:
-                    raise PreconditionViolated(not_meets)
-    if not unions:
-        raise PreconditionViolated(not_unions)
-    if not meets:
-        raise PreconditionViolated(not_meets)
+                    raise PreconditionViolated("family is not closed under nonempty intersection")
     if not any(values):
         raise AllEmpty("every member is the empty set; no element exists")
 

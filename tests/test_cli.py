@@ -5,11 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import closurelab
+import closurelab.cli as cli_module
 from closurelab import parse_family, parse_matrix
 from closurelab.cli import cli
+from closurelab.errors import ParameterOutOfRange, PreconditionViolated
 
 EXAMPLE1_BM = "0000\n1000\n1100\n0111\n1111\n"
 EXAMPLE1_FAM = "ground 4\n-\n1\n1 2\n2 3 4\n1 2 3 4\n"
@@ -298,6 +301,42 @@ def test_non_decimal_family_element_exit_and_line(tmp_path):
     result = invoke("psi", path)
     assert result.exit_code == 2
     assert result.output == f"error: {path}:2: element '1_0' is not an integer\n"
+
+
+# Each verb, its arguments ("INPUT" is a .bm file) and the name in the
+# cli module of the function it calls.
+_VERB_CALLS = {
+    "check-closure": (["check-closure", "INPUT", "--op", "and"], "is_closed"),
+    "close": (["close", "INPUT", "--op", "or"], "closure"),
+    "psi": (["psi", "INPUT"], "psi"),
+    "canon": (["canon", "INPUT"], "canonicalize"),
+    "basis": (["basis", "INPUT"], "compute_basis"),
+    "witness": (["witness", "imp", "INPUT"], "_WITNESSES"),
+    "identity": (["counterexample", "identity", "--n", "3"], "counterexample_identity"),
+    "block": (["counterexample", "block", "--n", "5", "--k", "2"], "counterexample_block"),
+    "campaign": (["campaign", "--width", "2"], "run_campaign"),
+    "convert": (["convert", "INPUT"], "format_family"),
+}
+
+
+@pytest.mark.parametrize("verb", _VERB_CALLS)
+@pytest.mark.parametrize(
+    "error, code", [(PreconditionViolated("x"), 1), (ParameterOutOfRange("y"), 2)]
+)
+def test_every_verb_maps_package_errors_to_exit_codes(tmp_path, monkeypatch, verb, error, code):
+    # A failed precondition exits 1, any other package error exits 2, in
+    # every verb: one "error:" line on stderr and nothing on stdout.
+    def fail(*args, **kwargs):
+        raise error
+
+    args, target = _VERB_CALLS[verb]
+    if target == "_WITNESSES":
+        monkeypatch.setitem(cli_module._WITNESSES, "imp", fail)
+    else:
+        monkeypatch.setattr(cli_module, target, fail)
+    path = write(tmp_path, "ex1.bm", EXAMPLE1_BM)
+    result = invoke(*(path if arg == "INPUT" else arg for arg in args))
+    assert (result.exit_code, result.stderr, result.stdout) == (code, f"error: {error}\n", "")
 
 
 def test_missing_file_exit():

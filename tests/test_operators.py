@@ -182,7 +182,7 @@ def test_parse_op_names():
         with pytest.raises(ValueError):
             parse_op(bad)
     # Table numbers are ASCII decimal digits only, unlike int().
-    for bad in ("tt:1_5", "tt:+3", "tt:\u0663", "tt:\uff12"):
+    for bad in ("tt:1_5", "tt:+3", "tt:-0", "tt:-00", "tt:\u0663", "tt:\uff12"):
         with pytest.raises(ValueError) as exc:
             parse_op(bad)
         assert str(exc.value) == f"unknown operator {bad!r}"
