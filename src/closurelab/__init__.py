@@ -4,12 +4,19 @@ Library plus CLI for closure checking and generation, column-sum
 statistics, permutation equivalence, orthogonal row bases, constructive
 half-membership witnesses for each closure theorem, and exhaustive
 desk-scale verification campaigns.
+
+No longer exported, since no verb or campaign used them: the
+closed-matrix wrapper class, the random closed row-set generator, the
+campaign family iterator, the basis precondition predicate and the
+pairwise equivalence test. In their place use is_closed with
+BinaryMatrix.non_zero, closure of random rows, run_campaign,
+is_closed(m, AND) and is_closed(m, ABJ), and
+canonicalize(a).matrix == canonicalize(b).matrix.
 """
 
 from .basis import (
     Basis,
     Decomposition,
-    check_basis_preconditions,
     compute_basis,
     decompose,
 )
@@ -31,10 +38,9 @@ from .bitcore import (
 from .enumeration import (
     CampaignConfig,
     CampaignSummary,
-    enumerate_families,
     run_campaign,
 )
-from .equivalence import CanonicalForm, apply_permutations, are_equivalent, canonicalize
+from .equivalence import CanonicalForm, apply_permutations, canonicalize
 from .operators import (
     ABJ,
     ALL_OPS,
@@ -58,13 +64,11 @@ from .operators import (
 )
 from .spaces import (
     PsiStats,
-    Space,
     closure,
     counterexample_block,
     counterexample_identity,
     is_closed,
     psi,
-    random_space,
 )
 from .witnesses import (
     FranklWitness,

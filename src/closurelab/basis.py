@@ -48,11 +48,6 @@ class Decomposition:
     index_set: frozenset[int]
 
 
-def check_basis_preconditions(m: BinaryMatrix) -> bool:
-    """True iff the row set is closed under AND and under ABJ (a and not b)."""
-    return is_closed(m, AND) and is_closed(m, ABJ)
-
-
 def compute_basis(m: BinaryMatrix) -> Basis:
     """Find the unique basis of a row set: its atoms.
 
@@ -95,7 +90,7 @@ def compute_basis(m: BinaryMatrix) -> Basis:
         atoms.append(r)
 
     if failure is not None:
-        if not check_basis_preconditions(m):
+        if not (is_closed(m, AND) and is_closed(m, ABJ)):
             raise PreconditionViolated(
                 f"no basis: rows are not closed under both AND and ABJ ({failure})"
             )

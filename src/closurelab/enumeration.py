@@ -227,8 +227,8 @@ def _theorem_runs(
     the 16-bit closure mask closed (negation is bit 3), and a non-zero
     matrix. Both are known here, so runners call the proof cores, which
     do not prove the hypothesis again. They share one matrix, built only
-    when some hypothesis holds and without re-checking the rows (every
-    family stream yields them distinct and in range), and one ImpChain.
+    when some hypothesis holds and without re-checking the rows
+    (_chunk_families yields them distinct and in range), and one ImpChain.
     """
     if not any(values):
         return []
@@ -245,7 +245,7 @@ def _theorem_runs(
     return runs
 
 
-# --- family streams ---------------------------------------------------------
+# --- the family stream ------------------------------------------------------
 
 
 def _draw_samples(cfg: CampaignConfig) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -283,18 +283,6 @@ def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int]]:
         for index, op_table, gens in part:
             values = _close_sample(width, op_table, gens)
             yield f"s{index}", values, _closed_mask_direct(width, values)
-
-
-def enumerate_families(cfg: CampaignConfig) -> Iterator[BinaryMatrix]:
-    """Stream the campaign's families as matrices.
-
-    Exhaustive mode yields every nonempty subset of the width-m rows
-    exactly once, rows in increasing binary order, family codes
-    ascending. Random mode yields the seeded generator closures.
-    """
-    for args in _chunk_args(cfg):
-        for _, rows, _ in _chunk_families(args):
-            yield BinaryMatrix.from_values(cfg.width, rows)
 
 
 # --- campaign ----------------------------------------------------------------

@@ -223,13 +223,3 @@ def _first_col_perm(colbits: list[list[int]], key: list[int]) -> tuple[int, ...]
     dfs(0, [0] * len(key), 0)
     return tuple(perm)
 
-
-def are_equivalent(a: BinaryMatrix, b: BinaryMatrix) -> bool:
-    """True iff b is a row/column permutation of a.
-
-    Shape mismatch simply returns False; equivalence is a total
-    predicate on pairs.
-    """
-    if a.width != b.width or a.n_rows != b.n_rows:
-        return False
-    return canonicalize(a).matrix == canonicalize(b).matrix

@@ -29,13 +29,12 @@ the rows (the exact-integer test 2 * max >= n, no fractions anywhere).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache
 
 from .bitcore import BinaryMatrix, _packed_matrix, column_sums
-from .errors import ParameterOutOfRange, PreconditionViolated
-from .operators import OpLike, apply_values, op_name
+from .errors import ParameterOutOfRange
+from .operators import OpLike, apply_values
 
 
 def row_map(table: int, a: int, mask: int) -> tuple[int, int]:
@@ -261,29 +260,6 @@ def psi(m: BinaryMatrix) -> PsiStats:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Space:
-    """A matrix paired with an operator its row set is closed under.
-
-    Closure is checked at construction. The all-zero single-row matrix
-    is accepted but flagged via is_nonzero, since the theorems quantify
-    over non-zero matrices only.
-    """
-
-    matrix: BinaryMatrix
-    op: OpLike
-
-    def __post_init__(self):
-        if not is_closed(self.matrix, self.op):
-            raise PreconditionViolated(
-                f"rows are not closed under {op_name(self.op)}"
-            )
-
-    @property
-    def is_nonzero(self) -> bool:
-        return self.matrix.non_zero
-
-
 def counterexample_identity(n: int) -> BinaryMatrix:
     """The (n+1) x n matrix of the n unit rows atop the zero row.
 
@@ -316,27 +292,3 @@ def counterexample_block(n: int, k: int) -> BinaryMatrix:
     values.append(0)
     return BinaryMatrix.from_values(n + 1, values)
 
-
-def random_space(
-    width: int,
-    op: OpLike,
-    generator_count: int,
-    rng: random.Random,
-    max_rows: int | None = None,
-) -> BinaryMatrix:
-    """Random closed row set: sample generator rows uniformly, close under op.
-
-    Samples are drawn with replacement and deduplicated. When max_rows
-    is given, oversized closures are rejected and resampled.
-    """
-    if generator_count < 1:
-        raise ParameterOutOfRange(f"generator_count must be >= 1, got {generator_count}")
-    size = 1 << width
-    for _ in range(10_000):
-        values = list(dict.fromkeys(rng.randrange(size) for _ in range(generator_count)))
-        closed = closure(BinaryMatrix.from_values(width, values), op)
-        if max_rows is None or closed.n_rows <= max_rows:
-            return closed
-    raise ParameterOutOfRange(
-        f"no closure under {op_name(op)} with at most {max_rows} rows found"
-    )

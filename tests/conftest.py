@@ -7,7 +7,9 @@ route that never touches the packed-integer implementation. The two
 exceptions are canonical_form_oracle, the earlier column branch and
 bound kept as the reference for the whole CanonicalForm, and
 removal_basis_oracle, the earlier remove-expressible-rows construction
-kept as the reference for compute_basis.
+kept as the reference for compute_basis. random_closure is an input
+generator, not an oracle: it draws seeded closed row sets with the
+library's own closure.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from closurelab import Basis, BinaryMatrix, BitRow, make_matrix
+from closurelab import Basis, BinaryMatrix, BitRow, closure, make_matrix
 from closurelab.equivalence import CanonicalForm
 from closurelab.errors import BasisVerificationFailed, PreconditionViolated
 
@@ -211,6 +213,13 @@ def family_matrix(width, values) -> BinaryMatrix:
 def random_distinct_matrix(rng: random.Random, width: int, n_rows: int) -> BinaryMatrix:
     values = rng.sample(range(1 << width), n_rows)
     return BinaryMatrix.from_values(width, values)
+
+
+def random_closure(width: int, op, generator_count: int, rng: random.Random) -> BinaryMatrix:
+    """closure under op of generator_count rows drawn uniformly with
+    replacement, duplicates dropped: a random closed row set."""
+    values = dict.fromkeys(rng.randrange(1 << width) for _ in range(generator_count))
+    return closure(BinaryMatrix.from_values(width, tuple(values)), op)
 
 
 def close_sets_oracle(members) -> set:

@@ -5,6 +5,7 @@ asserted alongside the results (best of three timings for the
 sub-millisecond ones, to keep scheduler noise out).
 """
 
+import hashlib
 import random
 import time
 
@@ -17,7 +18,6 @@ from closurelab import (
     BitRow,
     CampaignConfig,
     apply,
-    check_basis_preconditions,
     column_sum,
     compute_basis,
     conditional_witness,
@@ -28,13 +28,12 @@ from closurelab import (
     negate,
     parse_matrix,
     psi,
-    random_space,
     run_campaign,
     tilde_matrix,
     tilde_op,
 )
 
-from conftest import removal_basis_oracle
+from conftest import random_closure, removal_basis_oracle
 
 EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
 
@@ -124,19 +123,33 @@ def test_criterion_3_exhaustive_theorem_sweep():
     )
 
 
+#: sha256 of each width's exhaustive summary JSON.
+EXHAUSTIVE_SHA256 = {
+    1: "44e56893946bb0cde266a557ea2449424e98e3cbe2d89f6194dc70649e4ccede",
+    2: "c7a07c84d17076cd63c01faa4cb0fa88ba5c46bdc1a3f8ebc8c89fbb39b3db5d",
+    3: "85ce1fc38b22768d233769c12b29a8e5df876e2d66258510434b76f2b46e5628",
+    4: "b08110258466940fb3fc85dfe907952588d604273226a49c54de044538b6009b",
+}
+
+
 def test_criterion_4_union_closed_desk_verification():
     checked = 0
     failures = 0
+    changed = []
     for width in (1, 2, 3, 4):
         summary = run_campaign(CampaignConfig(width=width, mode="exhaustive", parallelism=1))
         checked += summary.frankl["or_closed_nonzero"]
         failures += summary.frankl["failures"]
-    ok = failures == 0 and checked > 5000
+        digest = hashlib.sha256(summary.to_json().encode()).hexdigest()
+        if digest != EXHAUSTIVE_SHA256[width]:
+            changed.append(width)
+    ok = failures == 0 and checked > 5000 and not changed
     verdict(
         4,
         ok,
         f"all {checked} OR-closed non-zero families at m <= 4 have a column "
-        f"covering half the rows ({failures} failures)",
+        f"covering half the rows ({failures} failures); summary digests "
+        f"changed at widths {changed or 'none'}",
     )
 
 
@@ -146,9 +159,9 @@ def test_criterion_5_basis_property_suite():
     spaces = 0
     for _ in range(1000):
         width = rng.randint(2, 8)
-        m = random_space(width, IMP, rng.randint(1, 4), rng)
+        m = random_closure(width, IMP, rng.randint(1, 4), rng)
         t = tilde_matrix(m)
-        assert check_basis_preconditions(t)
+        assert is_closed(t, AND) and is_closed(t, ABJ)
         b = compute_basis(t)
         assert b == removal_basis_oracle(t) == removal_basis_oracle(t, descending=True)
         index_sets = set()

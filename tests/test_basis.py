@@ -9,24 +9,24 @@ from closurelab import (
     Basis,
     BinaryMatrix,
     BitRow,
-    check_basis_preconditions,
     closure,
     compute_basis,
     decompose,
     is_closed,
     parse_matrix,
-    random_space,
     tilde_closure_properties,
     tilde_matrix,
 )
+from closurelab import basis
 from closurelab.errors import (
+    BasisVerificationFailed,
     ClosureLabError,
     NotDecomposable,
     PreconditionViolated,
     WidthMismatch,
 )
 
-from conftest import all_families, family_matrix, removal_basis_oracle
+from conftest import all_families, family_matrix, random_closure, removal_basis_oracle
 
 EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
 
@@ -53,12 +53,13 @@ def test_identity_counterexample_basis():
 
 def test_preconditions():
     m = BinaryMatrix.from_values(3, [4, 2, 1, 0])
-    assert check_basis_preconditions(m)
-    assert not check_basis_preconditions(parse_matrix(EXAMPLE1))
+    assert is_closed(m, AND) and is_closed(m, ABJ)
+    example = parse_matrix(EXAMPLE1)
+    assert not (is_closed(example, AND) and is_closed(example, ABJ))
     rng = random.Random(3)
     for _ in range(30):
-        space = random_space(rng.randint(2, 6), IMP, 2, rng)
-        assert check_basis_preconditions(tilde_matrix(space))
+        space = random_closure(rng.randint(2, 6), IMP, 2, rng)
+        assert tilde_closure_properties(space)
 
 
 def test_compute_basis_example_matrix_fails():
@@ -70,7 +71,7 @@ def test_basis_identical_under_both_removal_orders():
     rng = random.Random(1009)
     checked = 0
     for _ in range(200):
-        space = random_space(rng.randint(2, 6), IMP, rng.randint(1, 3), rng)
+        space = random_closure(rng.randint(2, 6), IMP, rng.randint(1, 3), rng)
         t = tilde_matrix(space)
         b = compute_basis(t)
         assert b == removal_basis_oracle(t) == removal_basis_oracle(t, descending=True)
@@ -136,6 +137,15 @@ def test_basis_failure_names_rows_at_matrix_width(text, reason):
     assert str(exc.value) == f"no basis: rows are not closed under both AND and ABJ ({reason})"
 
 
+def test_basis_failure_with_the_preconditions_met_is_a_bug(monkeypatch):
+    # With both closures reported present, a failed scan can only be a
+    # bug in the construction: the branch that says so can be reached.
+    monkeypatch.setattr(basis, "is_closed", lambda m, op: True)
+    with pytest.raises(BasisVerificationFailed) as exc:
+        compute_basis(parse_matrix("0011\n0110\n"))
+    assert str(exc.value) == "atoms 0011 and 0110 overlap"
+
+
 def test_decompose_examples():
     b = compute_basis(parse_matrix("01\n10\n11\n"))
     assert sorted(decompose(BitRow.from_string("11"), b).index_set) == [1, 2]
@@ -150,7 +160,7 @@ def test_decompose_examples():
 def test_decompose_never_silently_wrong():
     rng = random.Random(2027)
     for _ in range(100):
-        space = random_space(rng.randint(2, 6), IMP, 2, rng)
+        space = random_closure(rng.randint(2, 6), IMP, 2, rng)
         t = tilde_matrix(space)
         b = compute_basis(t)
         probe = BitRow(t.width, rng.randrange(1 << t.width))
@@ -178,7 +188,7 @@ def test_tilde_closure_properties():
     assert tilde_closure_properties(two_rows)
     rng = random.Random(5050)
     for _ in range(50):
-        space = random_space(rng.randint(2, 7), IMP, 2, rng)
+        space = random_closure(rng.randint(2, 7), IMP, 2, rng)
         assert tilde_closure_properties(space)
     with pytest.raises(PreconditionViolated):
         tilde_closure_properties(parse_matrix(EXAMPLE1))

@@ -1,3 +1,5 @@
+import importlib.util
+import itertools
 import json
 import os
 import random
@@ -379,3 +381,97 @@ def test_output_to_file(tmp_path):
     bm_dest = tmp_path / "canon.bm"
     invoke("canon", src, "--format", "text", "--output", str(bm_dest))
     parse_matrix(bm_dest.read_text())
+
+
+ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+
+
+def load_oracle():
+    # The benchmark's reference outputs, computed without closurelab.
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = load_oracle()
+
+#: --op values of check-closure: the named operators, negation and all
+#: sixteen truth tables, the six that ignore an argument among them.
+CHECK_OPS = (*oracle.TABLES, "not", *(f"tt:{t}" for t in range(16)))
+#: --op values of close, where negation is tt:3.
+CLOSE_OPS = (*oracle.TABLES, *(f"tt:{t}" for t in range(16)))
+WITNESS_OPS = ("not", "nand", "nor", "xor", "xnor", "imp", "topology")
+#: The operators a witness's input is closed under, where they are not
+#: the witness's own name.
+WITNESS_CLOSURES = {"not": ("tt:3",), "topology": ("and", "or")}
+
+
+def small_closure(rng, width, ops, limit=24):
+    """A non-zero row set of at most limit rows closed under every op,
+    from one to three random generators, in random order."""
+    while True:
+        gens = rng.sample(range(1 << width), rng.randint(1, min(3, 1 << width)))
+        rows = oracle.close_under_all(gens, width, ops, limit)
+        if len(rows) <= limit and any(rows):
+            rng.shuffle(rows)
+            return rows
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_verbs_match_the_independent_oracle(tmp_path, width):
+    # Stdout bytes and exit codes of every data verb against the oracle,
+    # on seeded inputs: widths up to 8 take the byte kernels, 9 and 10
+    # the wide ones.
+    rng = random.Random(width)
+    numbers = itertools.count()
+    cases = []  # (args, stdout bytes, exit code)
+
+    def write(rows, fam=False):
+        path = tmp_path / f"in{next(numbers)}.{'fam' if fam else 'bm'}"
+        path.write_text(oracle.format_fam(rows, width) if fam else oracle.format_bm(rows, width))
+        return str(path)
+
+    for _ in range(20):
+        rows = rng.sample(range(1 << width), rng.randint(1, min(12, 1 << width)))
+        path = write(rows)
+        op = rng.choice(CHECK_OPS)
+        out, code = oracle.check_op_out(rows, width, op)
+        cases += [
+            (["psi", path], oracle.psi_out(rows, width), 0),
+            (["check-closure", path], oracle.check_all_out(rows, width), 0),
+            (["check-closure", path, "--op", op], out, code),
+            (["convert", path], oracle.format_fam(rows, width).encode(), 0),
+            (["convert", write(rows, fam=True)], oracle.format_bm(rows, width).encode(), 0),
+        ]
+        fmt = rng.choice(("json", "text"))
+        if width <= 6:
+            cases.append((["canon", path, "--format", fmt], oracle.canon_out(rows, width, fmt), 0))
+        op = rng.choice(CLOSE_OPS)
+        gens = rows[: rng.randint(1, 3)]
+        while len(oracle.closure(gens, width, op, 64)) > 64:
+            gens = gens[:-1]
+        cases.append(
+            (["close", write(gens), "--op", op, "--format", fmt],
+             oracle.close_out(gens, width, op, fmt), 0)
+        )
+
+    for op in WITNESS_OPS * 3:
+        rows = small_closure(rng, width, WITNESS_CLOSURES.get(op, (op,)))
+        path = write(rows, fam=op == "topology")
+        cases += [
+            (["witness", op, path], oracle.witness_out(rows, width, op), 0),
+            (["check-closure", path], oracle.check_all_out(rows, width), 0),
+        ]
+    for _ in range(3):
+        rows = small_closure(rng, width, ("and", "abj"))
+        cases.append((["basis", write(rows)], oracle.basis_out(rows, width), 0))
+    if width >= 3:
+        # Two overlapping rows, neither inside the other: no basis.
+        shared, only_a, only_b = (1 << k for k in rng.sample(range(width), 3))
+        cases.append((["basis", write([shared | only_a, shared | only_b])], b"", 1))
+
+    runner = CliRunner()
+    for args, stdout, code in cases:
+        result = runner.invoke(cli, args)
+        assert (result.stdout_bytes, result.exit_code) == (stdout, code), args

@@ -10,16 +10,15 @@ from click.testing import CliRunner
 
 from closurelab import (
     ABJ,
-    ALL_OPS,
     AND,
     IMP,
     NEGATION,
     NOR,
     OR,
     BinaryMatrix,
+    BoolOp,
     CampaignConfig,
     conditional_witness,
-    enumerate_families,
     imp_implies_or_closed,
     is_closed,
     parse_matrix,
@@ -49,23 +48,35 @@ from closurelab.errors import (
 from closurelab.operators import CLONE, op_name
 from closurelab.spaces import closed_under
 
-from conftest import SEMANTICS, closed_oracle, matrix_tuples
+from conftest import SEMANTICS, closed_oracle, closure_oracle, matrix_tuples
+
+
+def families(cfg):
+    """The campaign's (ref, rows, closure mask) triples, chunk by chunk,
+    from the stream run_campaign reads."""
+    for args in _chunk_args(cfg):
+        yield from _chunk_families(args)
+
+
+def matrices(cfg):
+    return (BinaryMatrix.from_values(cfg.width, rows) for _, rows, _ in families(cfg))
 
 
 def test_enumerate_families_width_one():
-    mats = list(enumerate_families(CampaignConfig(width=1, mode="exhaustive")))
-    assert [[str(r) for r in m.rows] for m in mats] == [["0"], ["1"], ["0", "1"]]
+    got = [(ref, rows) for ref, rows, _ in families(CampaignConfig(width=1, mode="exhaustive"))]
+    assert got == [("f1", (0,)), ("f2", (1,)), ("f3", (0, 1))]
 
 
 def test_enumerate_families_counts():
-    assert sum(1 for _ in enumerate_families(CampaignConfig(width=2, mode="exhaustive"))) == 15
-    assert sum(1 for _ in enumerate_families(CampaignConfig(width=3, mode="exhaustive"))) == 255
+    for width, count in ((1, 3), (2, 15), (3, 255)):
+        refs = [ref for ref, _, _ in families(CampaignConfig(width=width, mode="exhaustive"))]
+        assert refs == [f"f{code}" for code in range(1, count + 1)]
 
 
 def test_enumerate_families_rows_ascending():
-    for m in enumerate_families(CampaignConfig(width=2, mode="exhaustive")):
-        values = m.row_values
-        assert list(values) == sorted(values)
+    for width in (2, 3):
+        for _, rows, _ in families(CampaignConfig(width=width, mode="exhaustive")):
+            assert list(rows) == sorted(set(rows))
 
 
 def test_or_closed_set_matches_bruteforce_oracle():
@@ -74,7 +85,7 @@ def test_or_closed_set_matches_bruteforce_oracle():
     cfg = CampaignConfig(width=2, mode="exhaustive")
     ours = set()
     oracle = set()
-    for i, m in enumerate(enumerate_families(cfg)):
+    for i, m in enumerate(matrices(cfg)):
         if is_closed(m, OR):
             ours.add(i)
         if closed_oracle(matrix_tuples(m), SEMANTICS["or"]):
@@ -155,7 +166,7 @@ def test_full_space_costs_one_closure_check(monkeypatch):
 def test_negation_closed_families_split_columns_evenly():
     cfg = CampaignConfig(width=2, mode="exhaustive")
     seen = 0
-    for m in enumerate_families(cfg):
+    for m in matrices(cfg):
         if not is_closed(m, NEGATION):
             continue
         seen += 1
@@ -184,7 +195,7 @@ def test_campaign_theorem_applicability_cross_check():
     summary = run_campaign(cfg)
     imp_closed_nonzero = 0
     or_closed_nonzero = 0
-    for m in enumerate_families(cfg):
+    for m in matrices(cfg):
         if m.non_zero and is_closed(m, IMP):
             imp_closed_nonzero += 1
             assert is_closed(m, OR)  # conditional closure forces OR closure
@@ -258,14 +269,27 @@ def test_campaign_random_parallel_matches_serial():
 
 
 def test_campaign_random_families_are_closed_spaces():
-    cfg = CampaignConfig(width=4, mode="random", sample_count=25, generator_count=2, seed=31)
-    mats = list(enumerate_families(cfg))
-    assert len(mats) == 25
-    closed_under_something = 0
-    for m in mats:
-        if any(is_closed(m, op) for op in ALL_OPS) or is_closed(m, NEGATION):
-            closed_under_something += 1
-    assert closed_under_something == 25
+    # Each family is the closure of its own sample's distinct generators
+    # under that sample's drawn operator, by the tuple oracle, and the
+    # mask the campaign counts holds that operator's bit.
+    cfg = CampaignConfig(width=4, mode="random", sample_count=60, generator_count=2, seed=31)
+    drawn = set()
+    count = 0
+    for args in _chunk_args(cfg):
+        for (index, op_table, gens), (ref, rows, closed) in zip(args[2], _chunk_families(args)):
+            # Negation is truth table 3: op(a, b) = not a.
+            fn = SEMANTICS.get(op_name(BoolOp(op_table)), lambda a, b: 1 - a)
+            tuples = matrix_tuples(BinaryMatrix.from_values(cfg.width, rows))
+            generators = [tuple(int(c) for c in f"{g:04b}") for g in dict.fromkeys(gens)]
+            assert ref == f"s{index}"
+            assert len(tuples) == len(set(tuples)), ref
+            assert set(tuples) == closure_oracle(generators, fn), ref
+            assert closed_oracle(tuples, fn), ref
+            assert closed >> op_table & 1, ref
+            drawn.add(op_table)
+            count += 1
+    assert count == 60
+    assert drawn == {op.table for op in RANDOM_OPS}
 
 
 def test_config_validation():

@@ -16,7 +16,6 @@ from closurelab import (
     BinaryMatrix,
     BoolOp,
     SetFamily,
-    Space,
     apply_permutations,
     closure,
     counterexample_block,
@@ -24,10 +23,9 @@ from closurelab import (
     is_closed,
     parse_matrix,
     psi,
-    random_space,
 )
 from closurelab.enumeration import _closed_mask_direct, _neg_closed
-from closurelab.errors import ParameterOutOfRange, PreconditionViolated
+from closurelab.errors import ParameterOutOfRange
 from closurelab.operators import apply_values
 from closurelab.spaces import _diagonal, _RowTables, _row_tables, closed_under, row_map
 
@@ -39,6 +37,7 @@ from conftest import (
     column_count_oracle,
     matrix_tuples,
     neg_closed_oracle,
+    random_closure,
     random_distinct_matrix,
 )
 
@@ -533,24 +532,10 @@ def test_counterexample_block_properties():
         counterexample_block(0, 0)
 
 
-def test_space_construction():
-    m = parse_matrix(EXAMPLE1)
-    s = Space(m, OR)
-    assert s.is_nonzero
-    with pytest.raises(PreconditionViolated):
-        Space(m, AND)
-    degenerate = Space(parse_matrix("00\n"), AND)  # flagged, not rejected
-    assert not degenerate.is_nonzero
-
-
 def test_random_space():
     rng = random.Random(4242)
     for _ in range(30):
         width = rng.randint(2, 6)
-        m = random_space(width, IMP, 2, rng)
+        m = random_closure(width, IMP, 2, rng)
         assert m.width == width
         assert is_closed(m, IMP)
-    bounded = random_space(6, AND, 2, rng, max_rows=10)
-    assert bounded.n_rows <= 10
-    with pytest.raises(ParameterOutOfRange):
-        random_space(4, IMP, 0, rng)

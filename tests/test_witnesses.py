@@ -28,7 +28,6 @@ from closurelab import (
     op_name,
     parse_matrix,
     parse_op,
-    random_space,
     sheffer_reduction,
     tilde_matrix,
     tilde_op,
@@ -47,6 +46,7 @@ from conftest import (
     family_matrix,
     matrix_tuples,
     neg_closed_oracle,
+    random_closure,
 )
 
 EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
@@ -150,7 +150,7 @@ def test_sheffer_closed_implies_negation_closed():
     rng = random.Random(61)
     for _ in range(40):
         op = (NAND, NOR)[rng.randrange(2)]
-        m = random_space(rng.randint(2, 6), op, rng.randint(1, 2), rng)
+        m = random_closure(rng.randint(2, 6), op, rng.randint(1, 2), rng)
         assert is_closed(m, NEGATION)
         recount(m, sheffer_reduction(m, op))
 
@@ -195,7 +195,7 @@ def test_group_witness_accepts_an_equal_operator():
 def test_xor_closed_contains_zero_row():
     rng = random.Random(303)
     for _ in range(40):
-        m = random_space(rng.randint(1, 6), XOR, rng.randint(1, 3), rng)
+        m = random_closure(rng.randint(1, 6), XOR, rng.randint(1, 3), rng)
         assert 0 in m.row_values
         if m.non_zero:
             recount(m, group_witness(m, XOR))
@@ -205,7 +205,7 @@ def test_xnor_closed_contains_ones_row_and_tilde_is_xor_closed():
     assert tilde_op(XNOR) == XOR
     rng = random.Random(305)
     for _ in range(40):
-        m = random_space(rng.randint(1, 6), XNOR, rng.randint(1, 3), rng)
+        m = random_closure(rng.randint(1, 6), XNOR, rng.randint(1, 3), rng)
         assert (1 << m.width) - 1 in m.row_values
         assert is_closed(tilde_matrix(m), XOR)
         recount(m, group_witness(m, XNOR))
@@ -373,7 +373,7 @@ def test_conditional_split_matches_decompose():
     rng = random.Random(113)
     split = 0
     for _ in range(80):
-        m = random_space(rng.randint(1, 8), IMP, rng.randint(1, 3), rng)
+        m = random_closure(rng.randint(1, 8), IMP, rng.randint(1, 3), rng)
         tilde = tilde_matrix(m)
         basis = compute_basis(tilde)
         if not basis.vectors:
@@ -390,7 +390,7 @@ def test_conditional_split_matches_decompose():
 def test_imp_closed_contains_all_ones_row():
     rng = random.Random(83)
     for _ in range(40):
-        m = random_space(rng.randint(1, 7), IMP, rng.randint(1, 3), rng)
+        m = random_closure(rng.randint(1, 7), IMP, rng.randint(1, 3), rng)
         assert (1 << m.width) - 1 in m.row_values
         recount(m, conditional_witness(m))
 
@@ -427,7 +427,7 @@ def test_imp_implies_or_closed():
         assert imp_implies_or_closed(cube)
     rng = random.Random(89)
     for _ in range(100):
-        m = random_space(rng.randint(1, 7), IMP, rng.randint(1, 3), rng)
+        m = random_closure(rng.randint(1, 7), IMP, rng.randint(1, 3), rng)
         assert imp_implies_or_closed(m)
         assert is_closed(m, OR)
     with pytest.raises(PreconditionViolated):
