@@ -21,9 +21,8 @@ row:
   offsets of _row_bytes), and counts each column as one bit_count of
   that integer shifted to the column's bit and masked to one bit per
   lane.
-- column_sum counts one column of rows up to a byte wide as the bytes
-  left after deleting every byte with that bit clear, and of wider rows
-  as the sum of the rows masked to that bit.
+- column_sum is one entry of column_sums, so every column count goes
+  through that one kernel.
 - format_matrix and format_family read a row's text from a table of
   strings per byte value and byte offset: at most ceil(width / 8)
   lookups and a join per row.
@@ -216,20 +215,10 @@ def matrix_to_family(m: BinaryMatrix) -> SetFamily:
 
 
 def column_sum(m: BinaryMatrix, j: int) -> int:
-    """Number of ones in 1-based column j."""
+    """Number of ones in 1-based column j: entry j of column_sums."""
     if not 1 <= j <= m.width:
         raise IndexOutOfRange(f"column {j} outside [1, {m.width}]")
-    shift = m.width - j
-    if m.width <= 8:
-        return len(bytes(m.row_values).translate(None, _bit_clear(1 << shift)))
-    return sum(map((1 << shift).__and__, m.row_values)) >> shift
-
-
-@cache
-def _bit_clear(bit: int) -> bytes:
-    """The bytes with the given bit clear: deleting them from a row
-    string leaves one byte per row that has the bit."""
-    return bytes(b for b in range(256) if not b & bit)
+    return column_sums(m.width, m.row_values)[j - 1]
 
 
 def _row_bytes(width: int, values: Iterable[int]) -> list[bytes]:

@@ -4,8 +4,10 @@ One executable, one verb per operation family. Inputs are ".bm" or
 ".fam" files (or "-" for stdin); the two formats are detected by
 content. A family is a matrix read as subsets, so every verb takes
 either. Exit codes: 0 success, 1 precondition or verification failure,
-2 input, parse or usage errors. The verbs let package errors propagate;
-the command group's `invoke` maps them onto exit 1 or 2 in one place.
+2 input, parse or usage errors and I/O errors (reading an input, writing
+--output or a campaign's reproducers). The verbs let package and I/O
+errors propagate; the command group's `invoke` maps them onto exit 1 or
+2 in one place.
 """
 
 from __future__ import annotations
@@ -55,11 +57,9 @@ def _fail(code: int, message: str):
 
 def _read_text(path: str, source: str) -> str:
     """The input's text, decoded strictly as UTF-8 from a file or stdin."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
         return data.decode("utf-8")
-    except OSError as exc:
-        _fail(2, str(exc))
     except UnicodeDecodeError as exc:
         _fail(2, f"{source}: {exc}")
 
@@ -71,10 +71,7 @@ def _load_any(path: str) -> BinaryMatrix:
 
 def _emit(text: str, output: str | None):
     if output:
-        try:
-            Path(output).write_text(text)
-        except OSError as exc:
-            _fail(2, str(exc))
+        Path(output).write_text(text)
     else:
         click.echo(text, nl=False)
 
@@ -111,7 +108,8 @@ _INPUT = click.argument("input", type=str)
 
 class _Cli(click.Group):
     """The command group: a failed precondition or verification in any
-    verb exits 1, and every other package error exits 2."""
+    verb exits 1, and every other package error and every I/O error
+    exits 2."""
 
     def invoke(self, ctx):
         try:
@@ -119,6 +117,10 @@ class _Cli(click.Group):
         except _VERIFY_ERRORS as exc:
             _fail(1, str(exc))
         except ClosureLabError as exc:
+            _fail(2, str(exc))
+        except BrokenPipeError:
+            raise  # click exits 1 quietly when stdout's reader has gone
+        except OSError as exc:
             _fail(2, str(exc))
 
 

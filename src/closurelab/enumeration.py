@@ -22,7 +22,7 @@ import functools
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -50,7 +50,7 @@ from .operators import (
     op_name,
 )
 from .spaces import _row_tables, closed_under, closure
-from .witnesses import THEOREMS, ImpChain
+from .witnesses import THEOREMS, MatrixViews
 
 EXHAUSTIVE_WIDTH_CAP = 4
 RANDOM_WIDTH_CAP = 8
@@ -115,13 +115,7 @@ class CampaignSummary:
     frankl: dict[str, int]
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "families": self.families,
-            "closed_under": self.closed_under,
-            "theorems": self.theorems,
-            "frankl": self.frankl,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -226,18 +220,18 @@ def _theorem_runs(
     statements exactly: closure under the named operator(s), read from
     the 16-bit closure mask closed (negation is bit 3), and a non-zero
     matrix. Both are known here, so runners call the proof cores, which
-    do not prove the hypothesis again. They share one matrix, built only
-    when some hypothesis holds and without re-checking the rows
-    (_chunk_families yields them distinct and in range), and one ImpChain.
+    do not prove the hypothesis again. They share one MatrixViews record,
+    built only when some hypothesis holds and without re-checking the
+    rows (_chunk_families yields them distinct and in range), so each
+    view of the family (its column sums, its complemented rows) is
+    computed at most once.
     """
     if not any(values):
         return []
     tables = [t for t, mask in _HYPOTHESIS_MASKS if closed & mask == mask]
-    m = _packed_matrix(width, values) if tables else None
-    chain = ImpChain(m) if tables else None
+    views = MatrixViews(_packed_matrix(width, values)) if tables else None
     runs: list[tuple[str, Callable[[], object]]] = [
-        (t.name, functools.partial(t.core, m, chain) if t.chained else functools.partial(t.core, m))
-        for t in tables
+        (t.name, functools.partial(t.core, views)) for t in tables
     ]
     # Checked on (width, values): a matrix per tiny exhaustive family
     # would cost more than the check itself.

@@ -16,10 +16,16 @@ non-zero matrix, each raising PreconditionViolated when it fails. A
 campaign reads the same hypothesis from its closure-mask bits and calls
 the core directly; the public witnesses and the `witness` verb call the
 row's Theorem.witness. Only the topology row gates on something weaker
-than its campaign hypothesis, and stores that gate on the row. The IMP
-rows re-trace one chain, sharing an ImpChain per campaign family: the
-complemented rows are AND- and ABJ-closed, so their basis gives the
-half-full column, and their AND closure is OR closure of the rows.
+than its campaign hypothesis, and stores that gate on the row.
+
+Every core takes one MatrixViews record: the matrix and the views of it
+that several cores read, each computed on first use and kept. A campaign
+builds one record per family, so the three negation rows count the
+columns once, and the three IMP rows, which re-trace one chain, build
+the complemented rows once: those are AND- and ABJ-closed, so their
+basis gives the half-full column, and their AND closure is OR closure
+of the rows. The proof scans read the record's column sums; the
+certificates recount from the matrix.
 """
 
 from __future__ import annotations
@@ -69,6 +75,19 @@ class FranklWitness:
             )
 
 
+class MatrixViews:
+    """One matrix and the views of it that the theorem cores share, each
+    computed on first use and kept: the column sums, the complemented
+    rows, and whether those are AND-closed."""
+
+    def __init__(self, m: BinaryMatrix):
+        self.m = m
+
+    sums = cached_property(lambda self: column_sums(self.m.width, self.m.row_values))
+    tilde = cached_property(lambda self: tilde_matrix(self.m))
+    tilde_and = cached_property(lambda self: is_closed(self.tilde, AND))
+
+
 def _recount(m: BinaryMatrix, column: int) -> FranklWitness:
     """Build the certificate from a fresh count straight off the matrix."""
     ones = column_sum(m, column)
@@ -91,7 +110,8 @@ def negation_witness(m: BinaryMatrix) -> FranklWitness:
     return _THEOREM["negation_lemma"].witness(m)
 
 
-def _negation_core(m: BinaryMatrix) -> FranklWitness:
+def _negation_core(views: MatrixViews) -> FranklWitness:
+    m = views.m
     values = m.row_values
     n = len(values)
     mask = (1 << m.width) - 1
@@ -100,7 +120,7 @@ def _negation_core(m: BinaryMatrix) -> FranklWitness:
     lower = {v for v in values if not v & top}
     if {v ^ mask for v in lower} != upper:
         raise VerificationFailed("column-1 halves are not complements of each other")
-    for j, ones in enumerate(column_sums(m.width, values), 1):
+    for j, ones in enumerate(views.sums, 1):
         if 2 * ones != n:
             raise VerificationFailed(f"column {j} does not hold exactly half the ones")
     return _recount(m, 1)
@@ -133,15 +153,15 @@ def group_witness(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
     return _THEOREM["xor_group" if op == XOR else "xnor_group"].witness(m)
 
 
-def _group_core(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
+def _group_core(views: MatrixViews, op: BoolOp) -> FranklWitness:
+    m = views.m
     n = m.n_rows
     # The diagonal a op a is the identity, so every element is its own
     # inverse and the identity is present; the latter stays an assertion.
     identity = 0 if op == XOR else (1 << m.width) - 1
     if identity not in m.row_values:
         raise GroupAxiomFailed("identity element missing from a closed row set")
-    for j in range(1, m.width + 1):
-        ones = column_sum(m, j)
+    for j, ones in enumerate(views.sums, 1):
         if 2 * ones >= n:
             return _recount(m, j)
     raise VerificationFailed("no column reaches half the rows in a group-closed set")
@@ -188,7 +208,8 @@ def _topology_gate(m: BinaryMatrix) -> None:
         raise AllEmpty("every member is the empty set; no element exists")
 
 
-def _topology_core(m: BinaryMatrix) -> FranklWitness:
+def _topology_core(views: MatrixViews) -> FranklWitness:
+    m = views.m
     values = m.row_values
     n = len(values)
     # Element 1 is the top bit, so among members of one size the
@@ -225,20 +246,9 @@ def conditional_witness(m: BinaryMatrix) -> FranklWitness:
     return _THEOREM["material_conditional"].witness(m)
 
 
-class ImpChain:
-    """The steps the IMP rows share on one matrix, each run on first use
-    and kept: the complemented rows, and their AND closure."""
-
-    def __init__(self, m: BinaryMatrix):
-        self.m = m
-
-    tilde = cached_property(lambda self: tilde_matrix(self.m))
-    tilde_and = cached_property(lambda self: is_closed(self.tilde, AND))
-
-
-def _conditional_core(m: BinaryMatrix, chain: ImpChain | None = None) -> FranklWitness:
+def _conditional_core(views: MatrixViews) -> FranklWitness:
+    m, tilde = views.m, views.tilde
     n = m.n_rows
-    tilde = (chain or ImpChain(m)).tilde
     basis = compute_basis(tilde)  # preconditions guaranteed; raises if not
 
     if not basis.vectors:
@@ -278,9 +288,8 @@ def tilde_closure_properties(m: BinaryMatrix) -> bool:
     return _THEOREM["tilde_preconditions"].witness(m)
 
 
-def _tilde_preconditions_core(m: BinaryMatrix, chain: ImpChain | None = None) -> bool:
-    chain = chain or ImpChain(m)
-    return chain.tilde_and and is_closed(chain.tilde, ABJ)
+def _tilde_preconditions_core(views: MatrixViews) -> bool:
+    return views.tilde_and and is_closed(views.tilde, ABJ)
 
 
 def imp_implies_or_closed(m: BinaryMatrix) -> bool:
@@ -294,11 +303,11 @@ def imp_implies_or_closed(m: BinaryMatrix) -> bool:
     return _THEOREM["imp_implies_or"].witness(m)
 
 
-def _imp_implies_or_core(m: BinaryMatrix, chain: ImpChain | None = None) -> bool:
+def _imp_implies_or_core(views: MatrixViews) -> bool:
     """OR closure of the rows, decided directly and as AND closure of
     the complemented rows (~(a | b) is ~a & ~b), which must agree."""
-    direct = is_closed(m, OR)
-    if (chain or ImpChain(m)).tilde_and != direct:
+    direct = is_closed(views.m, OR)
+    if views.tilde_and != direct:
         raise VerificationFailed("complement-side and direct OR-closure disagree")
     return direct
 
@@ -316,9 +325,8 @@ class Theorem:
     name: str
     verb: str | None  # `closurelab witness` verb, None when there is none
     hypothesis: tuple[OpLike, ...]
-    core: Callable[..., object]
+    core: Callable[[MatrixViews], object]
     gate: Callable[[BinaryMatrix], None] | None = None
-    chained: bool = False  # core(m, chain) can share an ImpChain, else builds one
 
     def witness(self, m: BinaryMatrix) -> object:
         """The core's result on m, or PreconditionViolated (or the gate's
@@ -332,7 +340,7 @@ class Theorem:
                     raise PreconditionViolated(f"rows are not closed under {name}")
         if not m.non_zero:
             raise PreconditionViolated("the all-zero matrix is not a space")
-        return self.core(m)
+        return self.core(MatrixViews(m))
 
 
 #: Rows in `closurelab witness` verb order; the campaign also runs them
@@ -342,14 +350,14 @@ THEOREMS = (
     # NAND or NOR of a row with itself is its negation.
     Theorem("nand_reduction", "nand", (NAND,), _negation_core),
     Theorem("nor_reduction", "nor", (NOR,), _negation_core),
-    Theorem("xor_group", "xor", (XOR,), lambda m: _group_core(m, XOR)),
-    Theorem("xnor_group", "xnor", (XNOR,), lambda m: _group_core(m, XNOR)),
+    Theorem("xor_group", "xor", (XOR,), lambda views: _group_core(views, XOR)),
+    Theorem("xnor_group", "xnor", (XNOR,), lambda views: _group_core(views, XNOR)),
     # One chain: the complement is AND- and ABJ-closed (tilde_preconditions),
     # so its basis gives the column (material_conditional), and its AND
     # closure is OR closure of the rows (imp_implies_or).
-    Theorem("material_conditional", "imp", (IMP,), _conditional_core, chained=True),
-    Theorem("tilde_preconditions", None, (IMP,), _tilde_preconditions_core, chained=True),
-    Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core, chained=True),
+    Theorem("material_conditional", "imp", (IMP,), _conditional_core),
+    Theorem("tilde_preconditions", None, (IMP,), _tilde_preconditions_core),
+    Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core),
     # The campaign hypothesis is AND and OR; the public witness gates on
     # the weaker union and nonempty-intersection closure of the family.
     Theorem("topology", "topology", (AND, OR), _topology_core, _topology_gate),

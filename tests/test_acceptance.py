@@ -2,9 +2,12 @@
 
 Every check is exact integer arithmetic; the stated runtime budgets are
 asserted alongside the results (best of three timings for the
-sub-millisecond ones, to keep scheduler noise out).
+sub-millisecond ones, to keep scheduler noise out). The exhaustive
+summaries of criterion 4 are also checked against the closed-form
+closure counts.
 """
 
+import functools
 import hashlib
 import random
 import time
@@ -132,12 +135,18 @@ EXHAUSTIVE_SHA256 = {
 }
 
 
+@functools.cache
+def exhaustive_summary(width):
+    """The one-worker exhaustive summary at a width, run once per session."""
+    return run_campaign(CampaignConfig(width=width, mode="exhaustive", parallelism=1))
+
+
 def test_criterion_4_union_closed_desk_verification():
     checked = 0
     failures = 0
     changed = []
     for width in (1, 2, 3, 4):
-        summary = run_campaign(CampaignConfig(width=width, mode="exhaustive", parallelism=1))
+        summary = exhaustive_summary(width)
         checked += summary.frankl["or_closed_nonzero"]
         failures += summary.frankl["failures"]
         digest = hashlib.sha256(summary.to_json().encode()).hexdigest()
@@ -151,6 +160,49 @@ def test_criterion_4_union_closed_desk_verification():
         f"covering half the rows ({failures} failures); summary digests "
         f"changed at widths {changed or 'none'}",
     )
+
+
+#: Per width: Moore families on that many points (OEIS A102896), subspaces
+#: of F_2^width, and Bell numbers (partitions of the columns).
+MOORE = {1: 2, 2: 7, 3: 61, 4: 2480}
+SUBSPACES = {1: 2, 2: 5, 3: 16, 4: 67}
+BELL = {1: 1, 2: 2, 3: 5, 4: 15}
+
+
+def test_exhaustive_closure_counts_match_closed_forms():
+    # Over the 2^N - 1 nonempty families of the N = 2^width rows:
+    # - a constant table is closed exactly when its constant row is in;
+    # - every family is closed under a projection;
+    # - a negated projection (or negation) closes the families made of
+    #   whole complementary pairs;
+    # - the AND-closed families are the Moore families (those holding
+    #   the all-ones row) and, but for {all-ones}, the same without it;
+    # - XOR-closed families are the subspaces, and complementing every
+    #   row maps them onto the XNOR-closed ones;
+    # - NAND and NOR generate every table, so their closed families are
+    #   the Boolean subalgebras, one per partition of the columns;
+    # - imp, cimp, abj and cabj share their closed families by clone
+    #   equality and complement duality.
+    for width in (1, 2, 3, 4):
+        n = 1 << width
+        counts = exhaustive_summary(width).closed_under
+        expected = {
+            "tt:0": 2 ** (n - 1),
+            "tt:15": 2 ** (n - 1),
+            "tt:10": 2**n - 1,
+            "tt:12": 2**n - 1,
+            "not": 2 ** (n // 2) - 1,
+            "tt:3": 2 ** (n // 2) - 1,
+            "tt:5": 2 ** (n // 2) - 1,
+            "and": 2 * MOORE[width] - 1,
+            "or": 2 * MOORE[width] - 1,
+            "xor": SUBSPACES[width],
+            "xnor": SUBSPACES[width],
+            "nand": BELL[width],
+            "nor": BELL[width],
+        }
+        assert {name: counts[name] for name in expected} == expected, width
+        assert counts["imp"] == counts["cimp"] == counts["abj"] == counts["cabj"], width
 
 
 def test_criterion_5_basis_property_suite():

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import closurelab
 import closurelab.cli as cli_module
-from closurelab import parse_family, parse_matrix
+from closurelab import enumeration, parse_family, parse_matrix
 from closurelab.cli import cli
 from closurelab.errors import ParameterOutOfRange, PreconditionViolated
 
@@ -381,6 +381,43 @@ def test_output_to_file(tmp_path):
     bm_dest = tmp_path / "canon.bm"
     invoke("canon", src, "--format", "text", "--output", str(bm_dest))
     parse_matrix(bm_dest.read_text())
+
+
+def test_io_errors_exit_2_with_the_system_message(tmp_path):
+    # A missing input and an --output under a regular file: one "error:"
+    # line with the OSError's own text on stderr, nothing on stdout.
+    src = write(tmp_path, "ex1.bm", EXAMPLE1_BM)
+    blocked = tmp_path / "ex1.bm" / "out.json"
+    for args, message in (
+        (["psi", "/nonexistent/nowhere.bm"], "[Errno 2] No such file or directory: '/nonexistent/nowhere.bm'"),
+        (["psi", src, "--output", str(blocked)], f"[Errno 20] Not a directory: '{blocked}'"),
+    ):
+        result = invoke(*args)
+        assert (result.exit_code, result.stderr, result.stdout) == (2, f"error: {message}\n", "")
+
+
+def test_unwritable_reproducer_exits_2(tmp_path, monkeypatch):
+    # A failed check whose reproducer cannot be written: the dump
+    # directory lies under a regular file, so making it fails.
+    monkeypatch.setattr(enumeration, "_count_flip_consistent", lambda width, values: False)
+    dump_dir = Path(write(tmp_path, "file", "")) / "dumps"
+    monkeypatch.setenv("CLOSURELAB_DUMP_DIR", str(dump_dir))
+    result = invoke("campaign", "--width", "1")
+    message = f"error: [Errno 20] Not a directory: '{dump_dir}'\n"
+    assert (result.exit_code, result.stderr, result.stdout) == (2, message, "")
+
+
+def test_closed_stdout_exits_1_quietly():
+    # A broken pipe is not mapped with the other I/O errors: click's own
+    # handler exits 1 without a message.
+    env = {**os.environ, "PYTHONPATH": str(Path(closurelab.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "closurelab.cli", "counterexample", "identity", "--n", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, b"")
 
 
 ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"

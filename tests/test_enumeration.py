@@ -414,7 +414,7 @@ BROKEN_STEPS = {
     "xnor_group": (witnesses, "column_sum", lambda m, j: 0),
     "xor_group": (witnesses, "column_sum", lambda m, j: 0),
     "topology": (witnesses, "column_sum", lambda m, j: 0),
-    # Each IMP row breaks a step only it reads, outside the ImpChain all three share.
+    # Each IMP row breaks a step only it reads, outside the MatrixViews record all three share.
     "material_conditional": (witnesses, "compute_basis", _no_basis),
     "tilde_preconditions": (
         witnesses, "is_closed", lambda m, op: op is not ABJ and _REAL_IS_CLOSED(m, op)
@@ -496,8 +496,8 @@ def imp_closed_families():
 
 
 def test_shared_imp_chain_matches_the_public_witnesses():
-    # The campaign runs the three IMP rows on one shared chain per family;
-    # each public function builds its own chain and proves the hypothesis.
+    # The campaign runs the three IMP rows on one shared MatrixViews record
+    # per family; each public function builds its own and proves the hypothesis.
     public = {
         "material_conditional": conditional_witness,
         "tilde_preconditions": tilde_closure_properties,
@@ -511,6 +511,47 @@ def test_shared_imp_chain_matches_the_public_witnesses():
             assert runs[name]() == function(m), (name, width, values)
         seen.add(width)
     assert seen == {1, 2, 3, 4, 8}
+
+
+#: The rows that each run the negation core: one family closed under NAND
+#: is closed under all three hypotheses.
+NEGATION_ROWS = {"negation_lemma", "nand_reduction", "nor_reduction"}
+
+
+def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
+    # The runners of one family share one MatrixViews record, so however
+    # many rows apply, the cores count the columns and build the
+    # complemented rows at most once per family.
+    calls = {}
+
+    def counted(name):
+        function = getattr(witnesses, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(witnesses, name, wrapper)
+
+    counted("column_sums")
+    counted("tilde_matrix")
+    configs = [
+        CampaignConfig(width=3, mode="exhaustive"),
+        CampaignConfig(width=8, mode="random", sample_count=1000, generator_count=3, seed=7),
+    ]
+    shared = set()
+    for cfg in configs:
+        for _, values, closed in families(cfg):
+            calls.update(column_sums=0, tilde_matrix=0)
+            runs = _theorem_runs(cfg.width, values, closed)
+            assert all(runner() for _, runner in runs), values
+            assert calls["column_sums"] <= 1 and calls["tilde_matrix"] <= 1, (values, calls)
+            names = {name for name, _ in runs}
+            if NEGATION_ROWS <= names:
+                shared.add((cfg.mode, "negation"))
+            if "material_conditional" in names:
+                shared.add((cfg.mode, "imp"))
+    assert shared == {(mode, rows) for mode in ("exhaustive", "random") for rows in ("negation", "imp")}
 
 
 def test_imp_implies_or_complement_side_can_fail(tmp_path, monkeypatch):

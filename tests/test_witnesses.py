@@ -35,7 +35,7 @@ from closurelab import (
 )
 from closurelab import witnesses
 from closurelab.errors import AllEmpty, PreconditionViolated, VerificationFailed
-from closurelab.witnesses import THEOREMS, _topology_core
+from closurelab.witnesses import THEOREMS, MatrixViews, _topology_core
 
 from conftest import (
     SEMANTICS,
@@ -299,7 +299,7 @@ def test_topology_core_matches_the_member_rule():
     for m in and_or_closed_families():
         assert is_closed(m, AND) and is_closed(m, OR)
         element, count = topology_member_rule(m)
-        assert _topology_core(m).column == topology_witness(m) == element, m
+        assert _topology_core(MatrixViews(m)).column == topology_witness(m) == element, m
         assert column_sum(m, element) == count
         sizes = sorted(v.bit_count() for v in m.row_values if v)
         ties += len(sizes) > 1 and sizes[0] == sizes[1]
@@ -319,7 +319,7 @@ def topology_reference(f: SetFamily):
                 raise PreconditionViolated("family is not closed under nonempty intersection")
     if not any(members):
         raise AllEmpty("every member is the empty set; no element exists")
-    return _topology_core(f).column
+    return _topology_core(MatrixViews(f)).column
 
 
 def outcome(fn, f):
@@ -460,7 +460,7 @@ def test_gated_witness_matches_its_core(theorem):
         if not m.non_zero or not meets_gate_hypothesis(theorem, m):
             continue
         seen += 1
-        assert theorem.witness(m) == theorem.core(m), values
+        assert theorem.witness(m) == theorem.core(MatrixViews(m)), values
     assert seen
 
 
