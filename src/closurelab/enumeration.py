@@ -47,6 +47,7 @@ from .operators import (
     XNOR,
     XOR,
     BoolOp,
+    _complemented,
     op_name,
 )
 from .spaces import _row_tables, closed_under, closure
@@ -181,12 +182,11 @@ def _closed_mask_direct(width: int, values: tuple[int, ...]) -> int:
     generate all sixteen: a NAND-closed family costs one check.
     """
     mask = (1 << width) - 1
-    present = set(values)
     closed = known = 0
     for op in _CLONE_ORDER:
         if known >> op & 1:
             continue
-        if closed_under(op, values, present, mask):
+        if closed_under(op, values, None, mask):
             closed |= CLONE[op]
             known |= CLONE[op]
         else:
@@ -205,8 +205,7 @@ def _count_flip_consistent(width: int, values: tuple[int, ...]) -> bool:
     """Each column's ones count in the complemented rows is n minus its
     count in the rows, counted from the complemented rows themselves."""
     n = len(values)
-    mask = (1 << width) - 1
-    flipped = column_sums(width, tuple(v ^ mask for v in values))
+    flipped = column_sums(width, _complemented(width, values))
     return all(f == n - s for s, f in zip(column_sums(width, values), flipped))
 
 

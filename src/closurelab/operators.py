@@ -11,7 +11,9 @@ is closed under the other.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 from .bitcore import BinaryMatrix, BitRow, _packed_matrix
 from .errors import WidthMismatch
@@ -170,14 +172,28 @@ def negate(a: BitRow) -> BitRow:
     return BitRow(a.width, a.value ^ ((1 << a.width) - 1))
 
 
+@cache
+def _complement_table(mask: int) -> bytes:
+    """Translation table of x -> x ^ mask on bytes, for mask < 256."""
+    return bytes(x ^ mask for x in range(256))
+
+
+def _complemented(width: int, values: tuple[int, ...]) -> Sequence[int]:
+    """Every row negated, in order: at a width of at most 8 one
+    bytes.translate of the rows through the table of x -> x ^ mask."""
+    mask = (1 << width) - 1
+    if mask < 256:
+        return bytes(values).translate(_complement_table(mask))
+    return tuple(v ^ mask for v in values)
+
+
 def tilde_matrix(m: BinaryMatrix) -> BinaryMatrix:
     """Negate every row of the matrix (row order preserved).
 
     The complements of distinct rows in range are distinct and in range,
     so the result skips the row checks.
     """
-    mask = (1 << m.width) - 1
-    return _packed_matrix(m.width, tuple(v ^ mask for v in m.row_values))
+    return _packed_matrix(m.width, tuple(_complemented(m.width, m.row_values)))
 
 
 def tilde_op(op: BoolOp) -> BoolOp:

@@ -6,16 +6,18 @@ left row a fixed, an operator is op(a, b) == u ^ (b & d) for masks
 (u, d) of a alone, and op(b, a) is the same with the masks of the
 operator whose arguments are swapped.
 
-Rows that fit in a byte are handled as byte strings. Per operator, row
-a looks up the 256-byte table of op(a, .), b -> u ^ (b & d), built the
-first time it is used and kept for the process. A check translates the
-first row's images alone, then every row's images as one joined string,
-and deletes the present bytes, which must leave nothing. The closure
-translates the rows so far through the tables of op(a, .) and op(., a),
-interleaves the two, deletes the present rows and appends the rest in
-first-occurrence order: a few C-level calls per worklist row. Wider rows
-build one Python set of images per left row to check, and pair one row
-at a time to close.
+Rows that fit in a byte are handled as byte strings, with no Python set.
+Per operator, row a looks up the 256-byte table of op(a, .),
+b -> u ^ (b & d), built the first time it is used and kept for the
+process. A check translates the first row's images alone, then every
+row's images as one joined string, and deletes the present bytes (the
+rows themselves unless the caller names another set), which must leave
+nothing. The closure translates the rows so far through the table of
+op(a, .), and for an asymmetric table also through that of op(., a) and
+interleaves the two, then deletes the present rows and appends the rest
+in first-occurrence order: a few C-level calls per worklist row. Wider
+rows build one Python set of images per left row to check, and pair one
+row at a time to close.
 
 Six tables ignore an argument: the two constants, the two projections
 and their negations. Under these, every image op(a, b) is h(a) or h(b)
@@ -105,13 +107,17 @@ def _diagonal(table: int, mask: int) -> tuple[int, int] | None:
     return u, u ^ apply_values(table, mask, mask, mask)
 
 
-def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: int) -> bool:
-    """True iff op(a, b) is in present for every a, b in values.
+def closed_under(
+    table: int, values: tuple[int, ...], present: set[int] | None, mask: int
+) -> bool:
+    """True iff op(a, b) is in present for every a, b in values; present
+    None stands for the values themselves.
 
     When the rows fit in a byte (mask < 256) the values are one bytes
     object, and a row's images are that object translated through the
     256-byte table of op(a, .); they all lie in present when deleting
-    the present bytes leaves nothing. The first left row is tested
+    the present bytes leaves nothing. Those bytes are the rows
+    themselves unless present is given. The first left row is tested
     alone, since most failing checks fail on it; then every row's images
     are translated, joined and tested in one deletion.
 
@@ -124,12 +130,14 @@ def closed_under(table: int, values: tuple[int, ...], present: set[int], mask: i
             return True
         tables = _row_tables(table, mask)
         rows = bytes(values)
-        keep = bytes(present)
+        keep = rows if present is None else bytes(present)
         if rows.translate(tables[rows[0]]).translate(None, keep):
             return False
         return not b"".join(map(rows.translate, map(tables.__getitem__, rows))).translate(
             None, keep
         )
+    if present is None:
+        present = set(values)
     diagonal = _diagonal(table, mask)
     if diagonal is not None:
         u, d = diagonal
@@ -151,8 +159,7 @@ def is_closed(m: BinaryMatrix, op: OpLike) -> bool:
     negation marker is truth table 3, whose only image of row a is its
     complement.
     """
-    values = m.row_values
-    return closed_under(op.table, values, set(values), (1 << m.width) - 1)
+    return closed_under(op.table, m.row_values, None, (1 << m.width) - 1)
 
 
 def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
@@ -166,9 +173,9 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
     the masks of the swapped table.
 
     When the rows fit in a byte (mask < 256) the rows are one bytearray
-    and row i costs a few C-level calls. rows[:i+1] translated through
-    the 256-byte table of each map gives the images op(a, b) and op(b, a);
-    the two are interleaved, the present rows deleted, and the rest
+    and row i costs a few C-level calls (see _byte_closure): rows[:i+1]
+    translated through the 256-byte table of each map gives the images
+    op(a, b) and op(b, a), the present rows are deleted, and the rest
     appended in first-occurrence order. Wider rows pair one at a time,
     except under a table that ignores an argument: there every image of
     an earlier row's pairs is present, so row i's only possible new image
@@ -214,14 +221,24 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
 def _byte_closure(table: int, values: tuple[int, ...], mask: int) -> bytearray:
     """closure's rows for rows that fit in a byte, in the same order.
 
-    Every table takes the same path: a table that ignores an argument
+    Under a symmetric table op(a, b) == op(b, a), so the pair loop's
+    images op(a, b), op(b, a) for b in turn are x0 x0 x1 x1 ..., whose
+    first occurrences come in the order of x0 x1 ...: row i translates
+    rows[:i+1] once. Other tables interleave the two translations. A
+    table that ignores an argument takes one of these paths too, and
     re-translates rows whose images are present, at most 256 of them.
     """
     tables = _row_tables(table, mask)
-    swapped = _row_tables(_swapped(table), mask)
     rows = bytearray(values)
     # iterating a bytearray reads its length at every step, so the rows
     # appended below are visited in turn
+    if table == _swapped(table):
+        for i, a in enumerate(rows, 1):
+            new = rows[:i].translate(tables[a]).translate(None, rows)
+            if new:
+                rows += bytes(dict.fromkeys(new))
+        return rows
+    swapped = _row_tables(_swapped(table), mask)
     for i, a in enumerate(rows, 1):
         head = rows[:i]
         pairs = bytearray(2 * i)

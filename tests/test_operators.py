@@ -15,6 +15,7 @@ from closurelab import (
     OR,
     XNOR,
     XOR,
+    BinaryMatrix,
     BitRow,
     BoolOp,
     apply,
@@ -126,6 +127,23 @@ def test_tilde_matrix():
     m = parse_matrix("1111\n0000\n0110\n")
     t = tilde_matrix(m)
     assert [str(r) for r in t.rows] == ["0000", "1111", "1001"]
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_tilde_matrix_complements_each_row_in_order(width):
+    # Up to width 8 the rows are complemented by one translate, above it
+    # row by row; both give v ^ mask in the rows' order, on the whole
+    # space shuffled and on random row sets.
+    mask = (1 << width) - 1
+    rng = random.Random(width)
+    everything = list(range(mask + 1))
+    rng.shuffle(everything)
+    cases = [everything]
+    cases += [rng.sample(range(mask + 1), rng.randint(1, mask + 1)) for _ in range(20)]
+    for values in cases:
+        t = tilde_matrix(BinaryMatrix.from_values(width, values))
+        assert type(t) is BinaryMatrix and t.width == width
+        assert t.row_values == tuple(v ^ mask for v in values)
 
 
 def test_tilde_op_defining_identity_exhaustive():

@@ -27,7 +27,14 @@ from closurelab import (
 from closurelab.enumeration import _closed_mask_direct, _neg_closed
 from closurelab.errors import ParameterOutOfRange
 from closurelab.operators import apply_values
-from closurelab.spaces import _diagonal, _RowTables, _row_tables, closed_under, row_map
+from closurelab.spaces import (
+    _diagonal,
+    _RowTables,
+    _row_tables,
+    _swapped,
+    closed_under,
+    row_map,
+)
 
 from conftest import (
     SEMANTICS,
@@ -158,6 +165,40 @@ def test_closed_under_with_present_a_strict_superset():
     assert True in outcomes and False in outcomes
 
 
+def test_closed_under_on_the_rows_alone_matches_an_explicit_set_and_the_oracle():
+    # Present None tests against the rows themselves; an explicit set of
+    # the rows, and the topology gate's rows plus the empty row, test
+    # against that set. All three meet the oracle on every table and
+    # negation, at byte widths and above, on closures, closures less
+    # their last row, random sets and a row with its complement (whose
+    # AND images add only the empty row).
+    rng = random.Random(23)
+    outcomes = set()
+    for width in range(1, 13):
+        mask = (1 << width) - 1
+        for op in _OPS:
+            output = op.output if isinstance(op, BoolOp) else lambda a, b: 1 - a
+            for _ in range(3):
+                gens = random_distinct_matrix(rng, width, rng.randint(1, min(2, 1 << width)))
+                closed = closure(gens, op).row_values
+                scattered = random_distinct_matrix(rng, width, rng.randint(1, min(12, 1 << width)))
+                r = rng.randrange(1 << width)
+                cases = [closed, closed[:-1] or closed, scattered.row_values, (r, r ^ mask)]
+                for values in cases:
+                    rows = matrix_tuples(BinaryMatrix.from_values(width, values))
+                    expected = closed_oracle(rows, output)
+                    for present in (None, set(values)):
+                        got = closed_under(op.table, values, present, mask)
+                        assert got == expected, (op, values, present)
+                    kept = {*rows, (0,) * width}
+                    with_empty = all(apply_tuple(output, a, b) in kept for a in rows for b in rows)
+                    got = closed_under(op.table, values, {*values, 0}, mask)
+                    assert got == with_empty, (op, values)
+                    outcomes.add((mask < 256, expected, with_empty))
+    pairs = [(False, False), (False, True), (True, True)]
+    assert outcomes == {(byte, e, z) for byte in (True, False) for e, z in pairs}
+
+
 #: The tables that ignore an argument: constants, projections, negations.
 DIAGONAL_TABLES = (0, 3, 5, 10, 12, 15)
 
@@ -250,6 +291,30 @@ def test_byte_closure_row_order_matches_pair_loop_reference(width):
             assert closure(gens, op).row_values == expected, (gens, op)
             full += len(expected) == 1 << width
     assert full >= 4
+
+
+def test_byte_closure_reads_the_swapped_tables_only_under_asymmetric_tables(monkeypatch):
+    # Under a symmetric table op(b, a) is op(a, b), so the closure reads
+    # one row-table lookup; every other table also reads the lookup of
+    # op(b, a). Tables 3, 5, 10 and 12 close to the same rows either way,
+    # so only the lookups tell the two paths apart.
+    symmetric = {
+        t for t in range(16)
+        if all(apply_values(t, a, b, 1) == apply_values(t, b, a, 1) for a in (0, 1) for b in (0, 1))
+    }
+    assert symmetric == {0, 1, 6, 7, 8, 9, 14, 15}
+    read = []
+
+    def recording(table, mask):
+        read.append(table)
+        return _row_tables(table, mask)
+
+    monkeypatch.setattr("closurelab.spaces._row_tables", recording)
+    gens = BinaryMatrix.from_values(8, (3, 200))
+    for table in range(16):
+        read.clear()
+        closure(gens, BoolOp(table))
+        assert read == ([table] if table in symmetric else [table, _swapped(table)]), table
 
 
 @pytest.mark.parametrize("width", [9, 16])
@@ -350,6 +415,7 @@ def test_closed_under_empty_values_is_true(mask):
     # On the byte path (mask 255) and the image-set path (mask 511).
     for table in range(16):
         assert closed_under(table, (), set(), mask)
+        assert closed_under(table, (), None, mask)
 
 
 @pytest.mark.parametrize("width", range(1, 9))
