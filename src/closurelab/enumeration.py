@@ -186,7 +186,7 @@ def _closed_mask_direct(width: int, values: tuple[int, ...]) -> int:
     for op in _CLONE_ORDER:
         if known >> op & 1:
             continue
-        if closed_under(op, values, None, mask):
+        if closed_under(op, values, mask):
             closed |= CLONE[op]
             known |= CLONE[op]
         else:

@@ -9,15 +9,15 @@ operator whose arguments are swapped.
 Rows that fit in a byte are handled as byte strings, with no Python set.
 Per operator, row a looks up the 256-byte table of op(a, .),
 b -> u ^ (b & d), built the first time it is used and kept for the
-process. A check translates the first row's images alone, then every
-row's images as one joined string, and deletes the present bytes (the
-rows themselves unless the caller names another set), which must leave
-nothing. The closure translates the rows so far through the table of
-op(a, .), and for an asymmetric table also through that of op(., a) and
-interleaves the two, then deletes the present rows and appends the rest
-in first-occurrence order: a few C-level calls per worklist row. Wider
-rows build one Python set of images per left row to check, and pair one
-row at a time to close.
+process. A check asks one question, whether every image op(a, b) of
+two rows is a row: it translates the first row's images alone, then
+every row's images as one joined string, and deletes the rows' own
+bytes, which must leave nothing. The closure translates the rows so far
+through the table of op(a, .), and for an asymmetric table also through
+that of op(., a) and interleaves the two, then deletes the present rows
+and appends the rest in first-occurrence order: a few C-level calls per
+worklist row. Wider rows build one Python set of images per left row to
+check, and pair one row at a time to close.
 
 Six tables ignore an argument: the two constants, the two projections
 and their negations. Under these, every image op(a, b) is h(a) or h(b)
@@ -107,22 +107,18 @@ def _diagonal(table: int, mask: int) -> tuple[int, int] | None:
     return u, u ^ apply_values(table, mask, mask, mask)
 
 
-def closed_under(
-    table: int, values: tuple[int, ...], present: set[int] | None, mask: int
-) -> bool:
-    """True iff op(a, b) is in present for every a, b in values; present
-    None stands for the values themselves.
+def closed_under(table: int, values: tuple[int, ...], mask: int) -> bool:
+    """True iff op(a, b) is among the values for every a, b in the values.
 
     When the rows fit in a byte (mask < 256) the values are one bytes
     object, and a row's images are that object translated through the
-    256-byte table of op(a, .); they all lie in present when deleting
-    the present bytes leaves nothing. Those bytes are the rows
-    themselves unless present is given. The first left row is tested
-    alone, since most failing checks fail on it; then every row's images
-    are translated, joined and tested in one deletion.
+    256-byte table of op(a, .); they are all rows when deleting the rows'
+    bytes leaves nothing. The first left row is tested alone, since most
+    failing checks fail on it; then every row's images are translated,
+    joined and tested in one deletion.
 
     Wider rows build the set {u ^ (b & d) for b} of one left row's images
-    at a time, stopping at the first row whose images leave present. A
+    at a time, stopping at the first row whose images leave the rows. A
     table that ignores an argument tests the one set of diagonal images.
     """
     if mask < 256:
@@ -130,14 +126,12 @@ def closed_under(
             return True
         tables = _row_tables(table, mask)
         rows = bytes(values)
-        keep = rows if present is None else bytes(present)
-        if rows.translate(tables[rows[0]]).translate(None, keep):
+        if rows.translate(tables[rows[0]]).translate(None, rows):
             return False
         return not b"".join(map(rows.translate, map(tables.__getitem__, rows))).translate(
-            None, keep
+            None, rows
         )
-    if present is None:
-        present = set(values)
+    present = set(values)
     diagonal = _diagonal(table, mask)
     if diagonal is not None:
         u, d = diagonal
@@ -159,7 +153,7 @@ def is_closed(m: BinaryMatrix, op: OpLike) -> bool:
     negation marker is truth table 3, whose only image of row a is its
     complement.
     """
-    return closed_under(op.table, m.row_values, None, (1 << m.width) - 1)
+    return closed_under(op.table, m.row_values, (1 << m.width) - 1)
 
 
 def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:

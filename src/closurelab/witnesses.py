@@ -190,11 +190,10 @@ def _topology_gate(m: BinaryMatrix) -> None:
     """Raise unless the family is closed under union and nonempty
     intersection and has a nonempty member."""
     # Union is OR of the rows; a nonempty intersection is an AND image
-    # other than the empty row 0, so AND closure that admits 0 decides it.
+    # other than the empty row 0. Since a & 0 == 0, the rows plus 0 are
+    # AND-closed exactly when every AND image of the rows is a row or 0.
     values = m.row_values
-    if not (
-        is_closed(m, OR) and closed_under(AND.table, values, {*values, 0}, (1 << m.width) - 1)
-    ):
+    if not (is_closed(m, OR) and closed_under(AND.table, (*values, 0), (1 << m.width) - 1)):
         # The first failing pair in member order names the failed check.
         present = set(values)
         for a in values:

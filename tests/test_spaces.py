@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -135,43 +136,13 @@ def test_kernel_matches_oracle_on_the_full_space(width):
     assert_kernel_matches_oracle(BinaryMatrix.from_values(width, range(1 << width)))
 
 
-def test_closed_under_with_present_a_strict_superset():
-    # The topology gate passes the rows plus the empty row as present, so
-    # an image may land on a present row that is not among the values.
-    # Present is the closure of the values plus the empty row and random
-    # extra rows, and then the closure with one row that is not a value
-    # taken out.
-    rng = random.Random(8)
-    outcomes = []
-    for width in range(1, 13):
-        mask = (1 << width) - 1
-        for op in ALL_OPS:
-            for _ in range(8):
-                gens = random_distinct_matrix(rng, width, rng.randint(1, min(3, 1 << width)))
-                values = gens.row_values
-                closed = set(closure(gens, op).row_values)
-                extras = {rng.randrange(1 << width) for _ in range(rng.randint(0, 3))}
-                outside = sorted(closed - set(values))
-                cases = [closed | extras | {0}]
-                if outside:
-                    cases.append(closed - {rng.choice(outside)})
-                rows = matrix_tuples(gens)
-                for present in cases:
-                    kept = set(matrix_tuples(BinaryMatrix.from_values(width, present)))
-                    expected = all(apply_tuple(op.output, a, b) in kept for a in rows for b in rows)
-                    got = closed_under(op.table, values, present, mask)
-                    assert got == expected, (width, op, values, present)
-                    outcomes.append(expected)
-    assert True in outcomes and False in outcomes
-
-
 def test_closed_under_on_the_rows_alone_matches_an_explicit_set_and_the_oracle():
-    # Present None tests against the rows themselves; an explicit set of
-    # the rows, and the topology gate's rows plus the empty row, test
-    # against that set. All three meet the oracle on every table and
-    # negation, at byte widths and above, on closures, closures less
-    # their last row, random sets and a row with its complement (whose
-    # AND images add only the empty row).
+    # The rows alone, and the rows plus the empty row as the topology
+    # gate passes them, meet the oracle on every table and negation, at
+    # byte widths and above, on closures, closures less their last row,
+    # random sets and a row with its complement (whose AND images add
+    # only the empty row). Under AND, the rows plus the empty row are
+    # closed exactly when every image of the rows is a row or empty.
     rng = random.Random(23)
     outcomes = set()
     for width in range(1, 13):
@@ -187,16 +158,15 @@ def test_closed_under_on_the_rows_alone_matches_an_explicit_set_and_the_oracle()
                 for values in cases:
                     rows = matrix_tuples(BinaryMatrix.from_values(width, values))
                     expected = closed_oracle(rows, output)
-                    for present in (None, set(values)):
-                        got = closed_under(op.table, values, present, mask)
-                        assert got == expected, (op, values, present)
+                    assert closed_under(op.table, values, mask) == expected, (op, values)
                     kept = {*rows, (0,) * width}
-                    with_empty = all(apply_tuple(output, a, b) in kept for a in rows for b in rows)
-                    got = closed_under(op.table, values, {*values, 0}, mask)
-                    assert got == with_empty, (op, values)
+                    with_empty = closed_oracle(kept, output)
+                    assert closed_under(op.table, (*values, 0), mask) == with_empty, (op, values)
+                    if op is AND:
+                        images = (apply_tuple(output, a, b) for a in rows for b in rows)
+                        assert with_empty == all(r in kept for r in images), values
                     outcomes.add((mask < 256, expected, with_empty))
-    pairs = [(False, False), (False, True), (True, True)]
-    assert outcomes == {(byte, e, z) for byte in (True, False) for e, z in pairs}
+    assert outcomes == set(product((True, False), repeat=3))
 
 
 #: The tables that ignore an argument: constants, projections, negations.
@@ -360,7 +330,7 @@ def test_closed_under_matches_oracle_at_width_8_with_nonzero_u():
             for values in cases:
                 rows = matrix_tuples(BinaryMatrix.from_values(8, values))
                 expected = closed_oracle(rows, op.output)
-                assert closed_under(op.table, values, set(values), 255) == expected, (op, values)
+                assert closed_under(op.table, values, 255) == expected, (op, values)
                 outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -404,7 +374,7 @@ def test_closed_under_fails_on_a_later_row_after_the_first_passes():
             if values is None:
                 missing.add((table, width))
                 continue
-            assert not closed_under(table, values, set(values), mask), (table, values)
+            assert not closed_under(table, values, mask), (table, values)
     assert missing == {(t, 1) for t in range(16)} | {
         (t, w) for t in (0, 5, 10, 12, 15) for w in range(1, 9)
     }
@@ -414,8 +384,7 @@ def test_closed_under_fails_on_a_later_row_after_the_first_passes():
 def test_closed_under_empty_values_is_true(mask):
     # On the byte path (mask 255) and the image-set path (mask 511).
     for table in range(16):
-        assert closed_under(table, (), set(), mask)
-        assert closed_under(table, (), None, mask)
+        assert closed_under(table, (), mask)
 
 
 @pytest.mark.parametrize("width", range(1, 9))

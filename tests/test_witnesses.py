@@ -329,15 +329,49 @@ def outcome(fn, f):
         return type(exc), str(exc)
 
 
-def test_topology_gate_matches_pair_loop():
+def byte_gate_families():
+    """Every width-3 family and 300 seeded width-4 ones."""
     rng = random.Random(4)
-    width4 = [tuple(rng.sample(range(16), rng.randint(1, 16))) for _ in range(300)]
-    families = [(3, v) for v in all_families(3)] + [(4, v) for v in width4]
+    yield from (SetFamily(3, values) for values in all_families(3))
+    for _ in range(300):
+        yield SetFamily(4, tuple(rng.sample(range(16), rng.randint(1, 16))))
+
+
+def wide_gate_families():
+    """Seeded families at widths 9-12: union/intersection closures in
+    shuffled order, each less one member, {a, b, a | b} with a & b empty
+    and no empty member (closed), {a, b, a | b} with a & b nonempty and
+    missing (not closed), and the empty member alone."""
+    rng = random.Random(12)
+    for _ in range(40):
+        width = rng.randint(9, 12)
+        ground = range(1, width + 1)
+        seeds = [frozenset(rng.sample(ground, rng.randint(1, width - 1)))
+                 for _ in range(rng.randint(1, 4))]
+        closed = sorted(close_sets_oracle(seeds), key=sorted)
+        rng.shuffle(closed)
+        yield SetFamily.from_members(width, closed)
+        if len(closed) > 1:
+            del closed[rng.randrange(len(closed))]
+            yield SetFamily.from_members(width, closed)
+        s = rng.sample(ground, rng.randint(2, width))
+        i = rng.randint(1, len(s) - 1)
+        yield SetFamily.from_members(width, [s[:i], s[i:], s])
+        s = rng.sample(ground, rng.randint(3, width))
+        i = rng.randint(1, len(s) - 2)
+        j = rng.randint(i + 1, len(s) - 1)
+        yield SetFamily.from_members(width, [s[:j], s[i:], s])
+    yield SetFamily.from_members(9, [()])
+
+
+@pytest.mark.parametrize(
+    "families", [byte_gate_families, wide_gate_families], ids=["byte", "wide"]
+)
+def test_topology_gate_matches_pair_loop(families):
     kinds = set()
-    for width, values in families:
-        f = SetFamily(width, values)
+    for f in families():
         expected = outcome(topology_reference, f)
-        assert outcome(topology_witness, f) == expected, values
+        assert outcome(topology_witness, f) == expected, f.row_values
         kinds.add(expected[1] if isinstance(expected, tuple) else "element")
     assert len(kinds) == 4, kinds  # both messages, all-empty and a witness
 
