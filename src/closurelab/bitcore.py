@@ -21,8 +21,9 @@ row:
   offsets of _row_bytes), and counts each column as one bit_count of
   that integer shifted to the column's bit and masked to one bit per
   lane.
-- column_sum is one entry of column_sums, so every column count goes
-  through that one kernel.
+- column_sum counts one column, fresh from the matrix: up to width 8
+  one bit_count of the rows' lane integer, above it a per-row bit test
+  summed in C. A certificate's recount thus reads only its own column.
 - format_matrix and format_family read a row's text from a table of
   strings per byte value and byte offset: at most ceil(width / 8)
   lookups and a join per row.
@@ -35,6 +36,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
+from operator import and_
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -215,10 +217,20 @@ def matrix_to_family(m: BinaryMatrix) -> SetFamily:
 
 
 def column_sum(m: BinaryMatrix, j: int) -> int:
-    """Number of ones in 1-based column j: entry j of column_sums."""
-    if not 1 <= j <= m.width:
-        raise IndexOutOfRange(f"column {j} outside [1, {m.width}]")
-    return column_sums(m.width, m.row_values)[j - 1]
+    """Number of ones in 1-based column j, counted from the rows alone.
+
+    Up to width 8 it is one bit_count of the rows read as one lane
+    integer (see column_sums); above it, each row's bit j masked in
+    place, summed and shifted back down.
+    """
+    width, values = m.width, m.row_values
+    if not 1 <= j <= width:
+        raise IndexOutOfRange(f"column {j} outside [1, {width}]")
+    shift = width - j
+    if width <= 8:
+        lanes = int.from_bytes(b"\x01" * len(values), "big")
+        return (int.from_bytes(bytes(values), "big") >> shift & lanes).bit_count()
+    return sum(map(and_, values, repeat(1 << shift))) >> shift
 
 
 def _row_bytes(width: int, values: Iterable[int]) -> list[bytes]:

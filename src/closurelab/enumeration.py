@@ -31,6 +31,7 @@ from .errors import (
     CampaignFailure,
     ClosureLabError,
     ParameterOutOfRange,
+    VerificationFailed,
     WidthCapExceeded,
 )
 from .operators import (
@@ -62,6 +63,10 @@ RANDOM_OPS = (NEGATION, AND, OR, XOR, XNOR, NAND, NOR, IMP, ABJ)
 #: Proved statements re-checked on every family whose hypothesis holds:
 #: the theorem table, then the count flip every non-zero family gets.
 THEOREM_NAMES = tuple(t.name for t in THEOREMS) + ("complement_count_flip",)
+
+#: The half-membership check of every non-zero OR-closed family, counted
+#: under "frankl" in the summary rather than with the theorems.
+FRANKL_CHECK = "union_closed_frankl"
 
 #: Each table row with its hypothesis as bits of the 16-bit closure mask.
 _HYPOTHESIS_MASKS = tuple((t, sum(1 << op.table for op in t.hypothesis)) for t in THEOREMS)
@@ -201,18 +206,29 @@ def _neg_closed(width: int, values: tuple[int, ...]) -> bool:
     return all(v ^ mask in present for v in values)
 
 
-def _count_flip_consistent(width: int, values: tuple[int, ...]) -> bool:
+def _count_flip_consistent(width: int, values: tuple[int, ...], sums: list[int]) -> bool:
     """Each column's ones count in the complemented rows is n minus its
-    count in the rows, counted from the complemented rows themselves."""
+    count in the rows (sums, column 1 first), counted from the
+    complemented rows themselves."""
     n = len(values)
     flipped = column_sums(width, _complemented(width, values))
-    return all(f == n - s for s, f in zip(column_sums(width, values), flipped))
+    return all(f == n - s for s, f in zip(sums, flipped))
+
+
+def _half_column(views: MatrixViews) -> bool:
+    """Union-closed half membership: some column holds ones in at least
+    half the rows, read from the record's column sums."""
+    if 2 * max(views.sums) < views.m.n_rows:
+        raise VerificationFailed("no column reaches half the rows")
+    return True
 
 
 def _theorem_runs(
     width: int, values: tuple[int, ...], closed: int
 ) -> list[tuple[str, Callable[[], object]]]:
-    """Applicable theorem checks for one family, as (name, runner) pairs.
+    """Applicable checks for one family, as (name, runner) pairs: the
+    theorem rows whose hypothesis holds, the count flip, and last, for an
+    OR-closed family, the half-membership check FRANKL_CHECK.
 
     A runner returns a truthy certificate or True on success; it raises
     a package error (or returns False) on failure. Hypotheses follow the
@@ -220,21 +236,33 @@ def _theorem_runs(
     the 16-bit closure mask closed (negation is bit 3), and a non-zero
     matrix. Both are known here, so runners call the proof cores, which
     do not prove the hypothesis again. They share one MatrixViews record,
-    built only when some hypothesis holds and without re-checking the
-    rows (_chunk_families yields them distinct and in range), so each
-    view of the family (its column sums, its complemented rows) is
-    computed at most once.
+    built only when some hypothesis or the OR bit holds and without
+    re-checking the rows (_chunk_families yields them distinct and in
+    range). So the rows are counted in full once (the record's sums, read
+    by the proof scans, the count flip and the half check), complemented
+    and counted once more by the count flip, and complemented as a matrix
+    at most once (the record's tilde, read by the negation and IMP rows).
     """
     if not any(values):
         return []
     tables = [t for t, mask in _HYPOTHESIS_MASKS if closed & mask == mask]
-    views = MatrixViews(_packed_matrix(width, values)) if tables else None
+    or_closed = closed >> OR.table & 1
+    if not (tables or or_closed):
+        # Checked on (width, values): a matrix per tiny exhaustive family
+        # would cost more than the check itself.
+        return [
+            ("complement_count_flip",
+             lambda: _count_flip_consistent(width, values, column_sums(width, values)))
+        ]
+    views = MatrixViews(_packed_matrix(width, values))
     runs: list[tuple[str, Callable[[], object]]] = [
         (t.name, functools.partial(t.core, views)) for t in tables
     ]
-    # Checked on (width, values): a matrix per tiny exhaustive family
-    # would cost more than the check itself.
-    runs.append(("complement_count_flip", lambda: _count_flip_consistent(width, values)))
+    runs.append(
+        ("complement_count_flip", lambda: _count_flip_consistent(width, values, views.sums))
+    )
+    if or_closed:
+        runs.append((FRANKL_CHECK, functools.partial(_half_column, views)))
     return runs
 
 
@@ -254,8 +282,10 @@ def _draw_samples(cfg: CampaignConfig) -> list[tuple[int, int, tuple[int, ...]]]
 
 
 def _close_sample(width: int, op_table: int, gens: tuple[int, ...]) -> tuple[int, ...]:
+    # The rows are drawn in range and deduplicated here, so the generator
+    # matrix skips the row checks.
     unique = tuple(dict.fromkeys(gens))
-    return closure(BinaryMatrix.from_values(width, unique), BoolOp(op_table)).row_values
+    return closure(_packed_matrix(width, unique), BoolOp(op_table)).row_values
 
 
 def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int]]:
@@ -308,28 +338,22 @@ def _check_family(
             closed_under[name] += 1
 
     for name, runner in _theorem_runs(width, values, closed):
-        counts = agg["theorems"][name]
-        counts["applicable"] += 1
         try:
             ok = bool(runner())
             message = "" if ok else "check returned false"
         except ClosureLabError as exc:
             ok = False
             message = str(exc)
-        if ok:
-            counts["passed"] += 1
+        if name == FRANKL_CHECK:
+            frankl = agg["frankl"]
+            frankl["or_closed_nonzero"] += 1
+            frankl["failures"] += not ok
         else:
-            counts["failed"] += 1
+            counts = agg["theorems"][name]
+            counts["applicable"] += 1
+            counts["passed" if ok else "failed"] += 1
+        if not ok:
             agg["failures"].append((ref, name, message, width, list(values)))
-
-    if closed & (1 << OR.table) and any(values):
-        agg["frankl"]["or_closed_nonzero"] += 1
-        n = len(values)
-        if 2 * max(column_sums(width, values)) < n:
-            agg["frankl"]["failures"] += 1
-            agg["failures"].append(
-                (ref, "union_closed_frankl", "no column reaches half the rows", width, list(values))
-            )
 
 
 def _run_chunk(args: tuple) -> dict:

@@ -20,12 +20,13 @@ than its campaign hypothesis, and stores that gate on the row.
 
 Every core takes one MatrixViews record: the matrix and the views of it
 that several cores read, each computed on first use and kept. A campaign
-builds one record per family, so the three negation rows count the
-columns once, and the three IMP rows, which re-trace one chain, build
-the complemented rows once: those are AND- and ABJ-closed, so their
-basis gives the half-full column, and their AND closure is OR closure
-of the rows. The proof scans read the record's column sums; the
-certificates recount from the matrix.
+builds one record per family, so its rows are counted in full once and
+complemented once, however many rows apply. The three negation rows
+share one complement pairing, and the three IMP rows, which re-trace one
+chain, share one AND check of the complemented rows: those are AND- and
+ABJ-closed, so their basis gives the half-full column, and their AND
+closure is OR closure of the rows. The proof scans read the record's
+column sums; each certificate recounts its one column from the matrix.
 """
 
 from __future__ import annotations
@@ -78,13 +79,15 @@ class FranklWitness:
 class MatrixViews:
     """One matrix and the views of it that the theorem cores share, each
     computed on first use and kept: the column sums, the complemented
-    rows, and whether those are AND-closed."""
+    rows, whether those are the rows again (paired), and whether they
+    are AND-closed."""
 
     def __init__(self, m: BinaryMatrix):
         self.m = m
 
     sums = cached_property(lambda self: column_sums(self.m.width, self.m.row_values))
     tilde = cached_property(lambda self: tilde_matrix(self.m))
+    paired = cached_property(lambda self: set(self.tilde.row_values) == set(self.m.row_values))
     tilde_and = cached_property(lambda self: is_closed(self.tilde, AND))
 
 
@@ -104,21 +107,17 @@ def negation_witness(m: BinaryMatrix) -> FranklWitness:
 
     Rows split into complementary pairs, so the row count is even, no
     column is constant, and every column holds exactly n/2 ones. The
-    pairing is checked explicitly on column 1: the rows with a leading 1
-    are exactly the complements of the rows with a leading 0.
+    pairing is checked explicitly: the complemented rows are the rows
+    again. Complementing flips column 1, so this says that the rows with
+    a leading 1 are exactly the complements of the rows with a leading 0.
     """
     return _THEOREM["negation_lemma"].witness(m)
 
 
 def _negation_core(views: MatrixViews) -> FranklWitness:
     m = views.m
-    values = m.row_values
-    n = len(values)
-    mask = (1 << m.width) - 1
-    top = 1 << (m.width - 1)
-    upper = {v for v in values if v & top}
-    lower = {v for v in values if not v & top}
-    if {v ^ mask for v in lower} != upper:
+    n = m.n_rows
+    if not views.paired:
         raise VerificationFailed("column-1 halves are not complements of each other")
     for j, ones in enumerate(views.sums, 1):
         if 2 * ones != n:
@@ -207,13 +206,19 @@ def _topology_gate(m: BinaryMatrix) -> None:
         raise AllEmpty("every member is the empty set; no element exists")
 
 
+def _minimal_member(values: tuple[int, ...]) -> int:
+    """The nonempty member of fewest elements, lexicographically smallest
+    among ties. Element 1 is the top bit, so among members of one size
+    the lexicographically smallest sorted elements is the largest value."""
+    size = min(map(int.bit_count, filter(None, values)))
+    return max(v for v in values if v.bit_count() == size)
+
+
 def _topology_core(views: MatrixViews) -> FranklWitness:
     m = views.m
     values = m.row_values
     n = len(values)
-    # Element 1 is the top bit, so among members of one size the
-    # lexicographically smallest sorted elements is the largest value.
-    b = min((v for v in values if v), key=lambda v: (v.bit_count(), -v))
+    b = _minimal_member(values)
     contains = []
     misses = []
     for a in values:

@@ -205,6 +205,31 @@ def test_column_sum_matches_the_oracle_at_widths_1_to_16(m):
         assert column_sum(m, j) == column_count_oracle(tuples, j), j
 
 
+def test_one_column_sum_matches_the_full_count_and_a_naive_count():
+    # column_sum counts one column by itself: a lane integer's bit_count up
+    # to width 8, a per-row bit test above it. Each width gets random rows,
+    # a single row, and rows with a zero column and a full column.
+    rng = random.Random(25)
+    for width in range(1, 21):
+        size = 1 << width
+        families = [rng.sample(range(size), min(size, rng.randint(2, 300))) for _ in range(4)]
+        families += [[rng.randrange(size)], [0], [size - 1]]
+        if width > 1:
+            # Column 1 all ones, column `width` all zeros.
+            top = 1 << (width - 1)
+            families.append(sorted({top | (rng.randrange(top) & ~1) for _ in range(40)}))
+        full = zero = 0
+        for values in families:
+            m = BinaryMatrix.from_values(width, values)
+            sums = column_sums(width, m.row_values)
+            for j in range(1, width + 1):
+                naive = sum(v >> (width - j) & 1 for v in values)
+                assert column_sum(m, j) == sums[j - 1] == naive, (width, values, j)
+                full += naive == len(values)
+                zero += naive == 0
+        assert full and zero, width
+
+
 def test_column_sum_plus_zero_count_is_n():
     rng = random.Random(99)
     for _ in range(50):

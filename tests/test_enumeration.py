@@ -25,9 +25,10 @@ from closurelab import (
     run_campaign,
     tilde_closure_properties,
 )
-from closurelab import enumeration, witnesses
+from closurelab import bitcore, enumeration, witnesses
 from closurelab.cli import cli
 from closurelab.enumeration import (
+    FRANKL_CHECK,
     RANDOM_OPS,
     THEOREM_NAMES,
     _chunk_args,
@@ -354,9 +355,11 @@ def test_campaign_failure_dumps_reproducer(tmp_path, monkeypatch):
 
 
 def test_random_reproducer_names_its_operator_and_generators(tmp_path, monkeypatch):
-    # Zero column sums fail the count flip on every family. Each random-mode
-    # reproducer names its drawn operator and distinct generator rows, and
-    # the close verb on those rows prints the reproducer's rows in order.
+    # Zero column sums fail the count flip on every family but {111}, which
+    # this seed does not draw: a family with a record counts only its
+    # complemented rows here. Each random-mode reproducer names its drawn
+    # operator and distinct generator rows, and the close verb on those
+    # rows prints the reproducer's rows in order.
     monkeypatch.setattr(enumeration, "column_sums", lambda width, values: [0] * width)
     cfg = CampaignConfig(width=3, mode="random", sample_count=40, generator_count=3, seed=5)
     with pytest.raises(CampaignFailure):
@@ -401,16 +404,24 @@ def _no_basis(m):
 
 def _miscount_complements(width, values):
     # The exhaustive stream yields rows ascending, so complemented rows of a
-    # multi-row family come out descending: count one extra one there.
+    # multi-row family come out descending: count one extra one there. The
+    # count flip counts its complemented rows here, and the rows too where
+    # the family has no MatrixViews record.
     sums = _REAL_COL_SUMS(width, values)
     return [s + 1 for s in sums] if list(values) != sorted(values) else sums
 
 
-#: Per theorem, one broken proof step: (owner, attribute, replacement).
+def _zero_sums(width, values):
+    return [0] * width
+
+
+#: Per check, one broken step: (owner, attribute, replacement).
 BROKEN_STEPS = {
-    "negation_lemma": (witnesses, "column_sums", lambda width, values: [0] * width),
-    "nand_reduction": (witnesses, "column_sums", lambda width, values: [0] * width),
-    "nor_reduction": (witnesses, "column_sums", lambda width, values: [0] * width),
+    # The record's column sums: the negation rows' half scan.
+    "negation_lemma": (witnesses, "column_sums", _zero_sums),
+    "nand_reduction": (witnesses, "column_sums", _zero_sums),
+    "nor_reduction": (witnesses, "column_sums", _zero_sums),
+    # The one-column recount of each certificate.
     "xnor_group": (witnesses, "column_sum", lambda m, j: 0),
     "xor_group": (witnesses, "column_sum", lambda m, j: 0),
     "topology": (witnesses, "column_sum", lambda m, j: 0),
@@ -423,6 +434,8 @@ BROKEN_STEPS = {
         witnesses, "is_closed", lambda m, op: op is not OR and _REAL_IS_CLOSED(m, op)
     ),
     "complement_count_flip": (enumeration, "column_sums", _miscount_complements),
+    # The half check reads the record's column sums too.
+    FRANKL_CHECK: (witnesses, "column_sums", _zero_sums),
 }
 
 
@@ -519,39 +532,54 @@ NEGATION_ROWS = {"negation_lemma", "nand_reduction", "nor_reduction"}
 
 
 def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
-    # The runners of one family share one MatrixViews record, so however
-    # many rows apply, the cores count the columns and build the
-    # complemented rows at most once per family.
-    calls = {}
+    # The runners of one family, the count flip and the half check among
+    # them, share one MatrixViews record, so however many rows apply, the
+    # family's rows are counted in full at most once, its complemented rows
+    # at most once (by the count flip), and the complemented matrix is
+    # built at most once. Every binding of column_sums is watched.
+    counted = []  # the rows of each full count
+    tilde_calls = []  # the matrix of each complemented matrix built
 
-    def counted(name):
-        function = getattr(witnesses, name)
+    def watch(owner, name, log):
+        function = getattr(owner, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            log.append(args[-1])
             return function(*args)
 
-        monkeypatch.setattr(witnesses, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted("column_sums")
-    counted("tilde_matrix")
+    for owner in (bitcore, enumeration, witnesses):
+        watch(owner, "column_sums", counted)
+    watch(witnesses, "tilde_matrix", tilde_calls)
     configs = [
         CampaignConfig(width=3, mode="exhaustive"),
         CampaignConfig(width=8, mode="random", sample_count=1000, generator_count=3, seed=7),
     ]
     shared = set()
+    passes = {}
     for cfg in configs:
+        mask = (1 << cfg.width) - 1
         for _, values, closed in families(cfg):
-            calls.update(column_sums=0, tilde_matrix=0)
+            counted.clear()
+            tilde_calls.clear()
             runs = _theorem_runs(cfg.width, values, closed)
             assert all(runner() for _, runner in runs), values
-            assert calls["column_sums"] <= 1 and calls["tilde_matrix"] <= 1, (values, calls)
+            rows, complemented = list(values), [v ^ mask for v in values]
+            counts = [list(c) for c in counted]
+            assert all(c in (rows, complemented) for c in counts), (values, counts)
+            assert counts.count(rows) <= 1 and counts.count(complemented) <= 1, values
+            assert len(tilde_calls) <= 1, values
+            passes[cfg.width, values] = len(counted)
             names = {name for name, _ in runs}
             if NEGATION_ROWS <= names:
                 shared.add((cfg.mode, "negation"))
             if "material_conditional" in names:
                 shared.add((cfg.mode, "imp"))
     assert shared == {(mode, rows) for mode in ("exhaustive", "random") for rows in ("negation", "imp")}
+    # {000, 111} is closed under every table: 12 full counts before the
+    # rows' sums were shared, now the rows and their complements once each.
+    assert passes[3, (0, 7)] == 2
 
 
 def test_imp_implies_or_complement_side_can_fail(tmp_path, monkeypatch):
@@ -565,12 +593,30 @@ def test_imp_implies_or_complement_side_can_fail(tmp_path, monkeypatch):
 
 
 def test_union_closed_frankl_check_can_fail(tmp_path, monkeypatch):
-    # Zero column sums break the half-membership check on every OR-closed
-    # family; the count flip, which reads the same sums, fails as well.
-    monkeypatch.setattr(enumeration, "column_sums", lambda width, values: [0] * width)
+    # Zero column sums in the record break the half-membership check on
+    # every OR-closed family; the rows that scan the same sums fail as well.
+    owner, attribute, replacement = BROKEN_STEPS[FRANKL_CHECK]
+    monkeypatch.setattr(owner, attribute, replacement)
     assert width_two_campaign_counts()["frankl"]["failures"] > 0
-    header = assert_cli_dumps_reproducer("union_closed_frankl", tmp_path, monkeypatch)
+    header = assert_cli_dumps_reproducer(FRANKL_CHECK, tmp_path, monkeypatch)
     assert header["message"] == "no column reaches half the rows"
+
+
+def test_a_raising_count_in_the_frankl_check_is_a_counted_failure(tmp_path, monkeypatch):
+    # An error raised while the half check counts is caught like a theorem
+    # runner's: counted, and dumped as a reproducer carrying its message,
+    # wherever in the package the count is made.
+    def raising(width, values):
+        raise PreconditionViolated("injected count failure")
+
+    for owner in (enumeration, witnesses):
+        monkeypatch.setattr(owner, "column_sums", raising)
+    counts = width_two_campaign_counts()
+    assert counts["frankl"]["failures"] == counts["frankl"]["or_closed_nonzero"] > 0
+    failures = {(name, message) for _, name, message, _, _ in counts["failures"]}
+    assert (FRANKL_CHECK, "injected count failure") in failures
+    header = assert_cli_dumps_reproducer(FRANKL_CHECK, tmp_path, monkeypatch)
+    assert header["message"] == "injected count failure"
 
 
 def test_pool_workers_are_clamped_to_the_chunk_count(monkeypatch):

@@ -35,7 +35,7 @@ from closurelab import (
 )
 from closurelab import witnesses
 from closurelab.errors import AllEmpty, PreconditionViolated, VerificationFailed
-from closurelab.witnesses import THEOREMS, MatrixViews, _topology_core
+from closurelab.witnesses import THEOREMS, MatrixViews, _minimal_member, _topology_core
 
 from conftest import (
     SEMANTICS,
@@ -97,6 +97,16 @@ def test_negation_core_reports_the_first_column_off_half(monkeypatch):
     monkeypatch.setattr(witnesses, "column_sum", lambda matrix, column: 0)
     with pytest.raises(VerificationFailed, match="^column 1 recount gave 0 ones"):
         negation_witness(m)
+
+
+def test_negation_core_rejects_rows_that_are_not_their_complements():
+    # The even-weight rows of width 3 hold two ones in every column, so
+    # only the pairing check (the record's cached view) can reject them.
+    views = MatrixViews(parse_matrix("000\n011\n101\n110\n"))
+    assert views.sums == [2, 2, 2]
+    with pytest.raises(VerificationFailed, match="^column-1 halves are not complements"):
+        witnesses._negation_core(views)
+    assert views.paired is False
 
 
 def test_negation_closed_families_exhaustive():
@@ -304,6 +314,33 @@ def test_topology_core_matches_the_member_rule():
         sizes = sorted(v.bit_count() for v in m.row_values if v)
         ties += len(sizes) > 1 and sizes[0] == sizes[1]
     assert ties > 1
+
+
+def test_minimal_member_matches_the_size_then_value_key():
+    # The topology core's pick, smallest size then largest value, against
+    # one min over the key (bit_count, -value) on seeded families, many of
+    # them with several members of the smallest size.
+    rng = random.Random(2025)
+    ties = 0
+    for width in range(1, 13):
+        size = 1 << width
+        for _ in range(60):
+            values = rng.sample(range(size), min(size, rng.randint(1, 40)))
+            if rng.random() < 0.5:
+                # Add members of one small size, so ties at the minimum are common.
+                k = rng.randint(1, width)
+                values += [
+                    v for v in (sum(1 << b for b in rng.sample(range(width), k)) for _ in range(3))
+                    if v not in values
+                ]
+            if not any(values):
+                values.append(size - 1)
+            values = tuple(dict.fromkeys(values))
+            expected = min((v for v in values if v), key=lambda v: (v.bit_count(), -v))
+            assert _minimal_member(values) == expected, (width, values)
+            low = min(v.bit_count() for v in values if v)
+            ties += sum(v.bit_count() == low for v in values) > 1
+    assert ties > 100
 
 
 def topology_reference(f: SetFamily):
