@@ -5,32 +5,33 @@ statistics, permutation equivalence, orthogonal row bases, constructive
 half-membership witnesses for each closure theorem, and exhaustive
 desk-scale verification campaigns.
 
-No longer exported, since no verb or campaign used them: the
-closed-matrix wrapper class, the random closed row-set generator, the
-campaign family iterator, the basis precondition predicate and the
-pairwise equivalence test. In their place use is_closed with
-BinaryMatrix.non_zero, closure of random rows, run_campaign,
-is_closed(m, AND) and is_closed(m, ABJ), and
-canonicalize(a).matrix == canonicalize(b).matrix.
+Every row and basis vector is a plain integer, and a decomposition is
+a tuple of indices. No longer exported, since no verb or campaign used
+them: the closed-matrix wrapper class, the random closed row-set
+generator, the campaign family iterator, the basis precondition
+predicate, the pairwise equivalence test, the boxed row class with the
+matrix's boxed-row view, the matrix builder from boxed rows, the two
+matrix/family converters, the family builder from element lists and
+its member-set view, the boxed decomposition, the width-mismatch error,
+and the boxed-row forms of operator application and negation. In their
+place use is_closed with BinaryMatrix.non_zero, closure of random rows,
+run_campaign, is_closed(m, AND) and is_closed(m, ABJ),
+canonicalize(a).matrix == canonicalize(b).matrix, row_values with
+f"{v:0{width}b}" or format_matrix for a row's text,
+BinaryMatrix(width, values) or SetFamily(width, values) for the
+builder and the converters, parse_family and format_family for
+members, the index tuple decompose returns (a row wider than its basis
+is NotDecomposable), and operators.apply_values and tilde_matrix.
 """
 
-from .basis import (
-    Basis,
-    Decomposition,
-    compute_basis,
-    decompose,
-)
+from .basis import Basis, compute_basis, decompose
 from .bitcore import (
     WIDTH_CAP,
     BinaryMatrix,
-    BitRow,
     SetFamily,
     column_sum,
-    family_to_matrix,
     format_family,
     format_matrix,
-    make_matrix,
-    matrix_to_family,
     parse_any,
     parse_family,
     parse_matrix,
@@ -55,8 +56,6 @@ from .operators import (
     XNOR,
     XOR,
     BoolOp,
-    apply,
-    negate,
     op_name,
     parse_op,
     tilde_matrix,

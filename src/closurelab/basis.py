@@ -4,48 +4,27 @@ A row set closed under conjunction and abjunction always contains a
 unique collection of pairwise-disjoint nonzero rows (the basis) such
 that every row is the OR of exactly one subset of them. The zero row is
 represented by the empty subset and is never itself a basis vector.
+Rows and basis vectors are packed integers (see bitcore), and a
+decomposition is the ascending tuple of its vectors' 1-based indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitcore import BinaryMatrix, BitRow
-from .errors import (
-    BasisVerificationFailed,
-    NotDecomposable,
-    PreconditionViolated,
-    WidthMismatch,
-)
+from .bitcore import BinaryMatrix
+from .errors import BasisVerificationFailed, NotDecomposable, PreconditionViolated
 from .operators import ABJ, AND
 from .spaces import is_closed
 
 
 @dataclass(frozen=True, slots=True)
 class Basis:
-    """Pairwise-orthogonal nonzero rows, in ascending order."""
+    """Pairwise-orthogonal nonzero rows, as packed values in ascending
+    order; compute_basis is the one constructor and proves them."""
 
     width: int
-    vectors: tuple[BitRow, ...]
-
-    def __post_init__(self):
-        for v in self.vectors:
-            if v.width != self.width:
-                raise WidthMismatch(f"vector {v} has width {v.width}, expected {self.width}")
-            if v.value == 0:
-                raise ValueError("the zero row cannot be a basis vector")
-        vals = [v.value for v in self.vectors]
-        for i, a in enumerate(vals):
-            for b in vals[i + 1 :]:
-                if a & b:
-                    raise ValueError("basis vectors must be pairwise orthogonal")
-
-
-@dataclass(frozen=True, slots=True)
-class Decomposition:
-    """The 1-based basis indices whose OR reproduces a row."""
-
-    index_set: frozenset[int]
+    vectors: tuple[int, ...]
 
 
 def compute_basis(m: BinaryMatrix) -> Basis:
@@ -96,24 +75,24 @@ def compute_basis(m: BinaryMatrix) -> Basis:
             )
         raise BasisVerificationFailed(failure)
 
-    return Basis(w, tuple(BitRow(w, v) for v in atoms))
+    return Basis(w, tuple(atoms))
 
 
-def decompose(row: BitRow, basis: Basis) -> Decomposition:
-    """The unique index set whose vectors OR to the row.
+def decompose(row: int, basis: Basis) -> tuple[int, ...]:
+    """The unique 1-based indices, ascending, of the vectors that OR to
+    the row.
 
     Selects exactly the basis vectors dominated by the row and verifies
     the OR reproduces it; orthogonality makes the selection unique. The
-    zero row decomposes as the empty set.
+    zero row decomposes as the empty tuple, and a row with a bit in no
+    vector (a row wider than the basis among them) is NotDecomposable.
     """
-    if row.width != basis.width:
-        raise WidthMismatch(f"row width {row.width} differs from basis width {basis.width}")
     indices = []
     ored = 0
     for i, v in enumerate(basis.vectors, 1):
-        if v.value & row.value == v.value:
+        if v & row == v:
             indices.append(i)
-            ored |= v.value
-    if ored != row.value:
-        raise NotDecomposable(f"row {row} is not an OR of basis vectors")
-    return Decomposition(frozenset(indices))
+            ored |= v
+    if ored != row:
+        raise NotDecomposable(f"row {row:0{basis.width}b} is not an OR of basis vectors")
+    return tuple(indices)

@@ -45,7 +45,6 @@ from .errors import (
     IndexOutOfRange,
     ParseError,
     WidthCapExceeded,
-    WidthMismatch,
 )
 
 #: Maximum number of columns a row may have. Rows are packed into single
@@ -53,61 +52,14 @@ from .errors import (
 #: practice), so one machine word is plenty.
 WIDTH_CAP = 64
 
-def _check_width(width) -> None:
-    if not isinstance(width, int) or width < 1:
-        raise ValueError(f"width must be a positive integer, got {width!r}")
-    if width > WIDTH_CAP:
-        raise WidthCapExceeded(f"width {width} exceeds cap {WIDTH_CAP}")
-
-
-@dataclass(frozen=True, slots=True)
-class BitRow:
-    """One row of a binary matrix; doubles as a subset of [width]."""
-
-    width: int
-    value: int
-
-    def __post_init__(self):
-        _check_width(self.width)
-        if not isinstance(self.value, int) or not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value!r} out of range for width {self.width}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "BitRow":
-        """Build a row from a '0'/'1' string, column 1 first."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"row text must be nonempty over '0'/'1', got {text!r}")
-        return cls(len(text), int(text, 2))
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitRow":
-        """Build a row from a sequence of 0/1 ints, column 1 first."""
-        value = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bits must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-        return cls(len(bits), value)
-
-    def bit(self, j: int) -> int:
-        """Return the bit in 1-based column j."""
-        if not 1 <= j <= self.width:
-            raise IndexOutOfRange(f"column {j} outside [1, {self.width}]")
-        return (self.value >> (self.width - j)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.width - j)) & 1 for j in range(1, self.width + 1))
-
-    def __str__(self) -> str:
-        return format(self.value, f"0{self.width}b")
-
 
 @dataclass(frozen=True, slots=True)
 class BinaryMatrix:
     """An ordered collection of distinct equal-width rows, stored packed.
 
     row_values holds each row as its integer value (see the module
-    docstring); `rows` builds BitRow objects from them on demand.
+    docstring); f"{v:0{width}b}" is a row's text, format_matrix the
+    whole matrix's.
     """
 
     width: int
@@ -115,7 +67,10 @@ class BinaryMatrix:
 
     def __post_init__(self):
         width, values = self.width, self.row_values
-        _check_width(width)
+        if not isinstance(width, int) or width < 1:
+            raise ValueError(f"width must be a positive integer, got {width!r}")
+        if width > WIDTH_CAP:
+            raise WidthCapExceeded(f"width {width} exceeds cap {WIDTH_CAP}")
         if not values:
             raise Empty("a matrix needs at least one row")
         limit = 1 << width
@@ -132,10 +87,6 @@ class BinaryMatrix:
     @classmethod
     def from_values(cls, width: int, values: Iterable[int]) -> "BinaryMatrix":
         return cls(width, tuple(values))
-
-    @property
-    def rows(self) -> tuple[BitRow, ...]:
-        return tuple(BitRow(self.width, v) for v in self.row_values)
 
     @property
     def n_rows(self) -> int:
@@ -157,63 +108,15 @@ def _packed_matrix(width: int, values: tuple[int, ...]) -> BinaryMatrix:
     return m
 
 
-def _elements(width: int, value: int) -> list[int]:
-    """The 1-based columns where a row has a 1, ascending."""
-    return [j for j in range(1, width + 1) if (value >> (width - j)) & 1]
-
-
 class SetFamily(BinaryMatrix):
     """A matrix read as an ordered family of distinct subsets of [width].
 
     Each member is its row: element k of the ground set is column k.
-    A family never equals the plain matrix with the same rows.
+    A family never equals the plain matrix with the same rows. Build
+    one as SetFamily(width, values), or from ".fam" text by parse_family.
     """
 
     __slots__ = ()
-
-    @classmethod
-    def from_members(cls, ground_size: int, members: Iterable[Iterable[int]]) -> "SetFamily":
-        """Build a family from iterables of 1-based elements."""
-        values = []
-        for member in members:
-            value = 0
-            for e in member:
-                if not isinstance(e, int) or not 1 <= e <= ground_size:
-                    raise IndexOutOfRange(
-                        f"element {e!r} outside [1, {ground_size}]"
-                    )
-                value |= 1 << (ground_size - e)
-            values.append(value)
-        return cls(ground_size, tuple(values))
-
-    def members(self) -> tuple[frozenset[int], ...]:
-        """Members as frozensets of 1-based elements."""
-        return tuple(frozenset(_elements(self.width, v)) for v in self.row_values)
-
-
-def make_matrix(rows: Sequence[BitRow]) -> BinaryMatrix:
-    """Assemble rows into a matrix, preserving order.
-
-    Raises Empty, WidthMismatch or DuplicateRow when the rows do not
-    form a valid matrix.
-    """
-    if not rows:
-        raise Empty("no rows given")
-    width = rows[0].width
-    for row in rows:
-        if row.width != width:
-            raise WidthMismatch(f"row {row} has width {row.width}, expected {width}")
-    return BinaryMatrix(width, tuple(row.value for row in rows))
-
-
-def family_to_matrix(f: SetFamily) -> BinaryMatrix:
-    """Matrix whose row i is the characteristic vector of member i."""
-    return BinaryMatrix(f.width, f.row_values)
-
-
-def matrix_to_family(m: BinaryMatrix) -> SetFamily:
-    """Inverse of family_to_matrix; round-trips exactly."""
-    return SetFamily(m.width, m.row_values)
 
 
 def column_sum(m: BinaryMatrix, j: int) -> int:

@@ -220,22 +220,20 @@ def canon_cmd(input, fmt, output):
 def basis_cmd(input, fmt, output):
     """Orthogonal basis and per-row decompositions of an AND/ABJ-closed set."""
     m = _load_any(input)
-    b = compute_basis(m)
-    rows = [(row, sorted(decompose(row, b).index_set)) for row in m.rows]
+    b, w = compute_basis(m), m.width
+    rows = [(f"{v:0{w}b}", decompose(v, b)) for v in m.row_values]
     if fmt == "json":
         _emit_json(
             {
-                "width": b.width,
-                "vectors": [str(v) for v in b.vectors],
-                "rows": [{"row": str(row), "indices": idx} for row, idx in rows],
+                "width": w,
+                "vectors": [f"{v:0{w}b}" for v in b.vectors],
+                "rows": [{"row": row, "indices": idx} for row, idx in rows],
             },
             output,
         )
     else:
-        lines = [(f"vector {i}", str(v)) for i, v in enumerate(b.vectors, 1)]
-        lines += [
-            (f"row {row}", " ".join(str(i) for i in idx) if idx else "-") for row, idx in rows
-        ]
+        lines = [(f"vector {i}", f"{v:0{w}b}") for i, v in enumerate(b.vectors, 1)]
+        lines += [(f"row {row}", " ".join(map(str, idx)) or "-") for row, idx in rows]
         _emit_kv(lines, output)
 
 

@@ -10,10 +10,6 @@ class ClosureLabError(Exception):
     """Base class for all package errors."""
 
 
-class WidthMismatch(ClosureLabError):
-    """Rows or operands of different widths were combined."""
-
-
 class DuplicateRow(ClosureLabError):
     """A matrix or family was built with a repeated row/set."""
 

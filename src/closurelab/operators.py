@@ -15,8 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
-from .bitcore import BinaryMatrix, BitRow, _packed_matrix
-from .errors import WidthMismatch
+from .bitcore import BinaryMatrix, _packed_matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,19 +156,6 @@ CLONE = tuple(_clone(t) for t in range(16))
 #: ABOVE[g] has bit f set iff g is in CLONE[f]: a row set not closed
 #: under g is not closed under any of them.
 ABOVE = tuple(sum(1 << f for f in range(16) if CLONE[f] >> g & 1) for g in range(16))
-
-
-def apply(op: BoolOp, a: BitRow, b: BitRow) -> BitRow:
-    """Apply op to two rows of equal width, elementwise."""
-    if a.width != b.width:
-        raise WidthMismatch(f"widths {a.width} and {b.width} differ")
-    mask = (1 << a.width) - 1
-    return BitRow(a.width, apply_values(op.table, a.value, b.value, mask))
-
-
-def negate(a: BitRow) -> BitRow:
-    """Flip every bit; an involution."""
-    return BitRow(a.width, a.value ^ ((1 << a.width) - 1))
 
 
 @cache

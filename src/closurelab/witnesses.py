@@ -261,7 +261,7 @@ def _conditional_core(views: MatrixViews) -> FranklWitness:
         return _recount(m, 1)
 
     # A row's decomposition (verified by compute_basis) uses v1 iff it covers v1.
-    v1 = basis.vectors[0].value
+    v1 = basis.vectors[0]
     users = [u for u in tilde.row_values if u & v1 == v1]
     if not users:
         raise VerificationFailed("first basis vector is not used by any row")

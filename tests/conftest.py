@@ -1,7 +1,8 @@
 """Shared independent oracles for the test suite.
 
-Everything here works on rows as plain tuples of 0/1 ints (extracted
-from the library objects only through their text rendering), so closure
+Everything here works on rows as plain tuples of 0/1 ints or sets of
+elements (extracted from the library objects only through their text
+rendering, format_matrix), so closure
 checks, column counts and canonical forms are recomputed by a second
 route that never touches the packed-integer implementation. The two
 exceptions are canonical_form_oracle, the earlier column branch and
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from closurelab import Basis, BinaryMatrix, BitRow, closure, make_matrix
+from closurelab import Basis, BinaryMatrix, closure, format_matrix
 from closurelab.equivalence import CanonicalForm
 from closurelab.errors import BasisVerificationFailed, PreconditionViolated
 
@@ -36,20 +37,23 @@ SEMANTICS = {
 }
 
 
-def row_tuple(row: BitRow) -> tuple[int, ...]:
-    return tuple(int(ch) for ch in str(row))
+def row_tuple(value: int, width: int) -> tuple[int, ...]:
+    """A row value's bits, column 1 first, read from its binary text."""
+    return tuple(int(ch) for ch in format(value, f"0{width}b"))
+
+
+def row_texts(m: BinaryMatrix) -> list[str]:
+    """The rows' text, one line of format_matrix each."""
+    return format_matrix(m).splitlines()
 
 
 def matrix_tuples(m: BinaryMatrix) -> list[tuple[int, ...]]:
-    return [row_tuple(r) for r in m.rows]
+    return [tuple(int(ch) for ch in text) for text in row_texts(m)]
 
 
-def row_from_tuple(bits) -> BitRow:
-    return BitRow.from_string("".join(str(b) for b in bits))
-
-
-def matrix_from_tuples(rows) -> BinaryMatrix:
-    return make_matrix([row_from_tuple(r) for r in rows])
+def members(m: BinaryMatrix) -> tuple[frozenset[int], ...]:
+    """The rows read as sets of their 1-based columns holding a one."""
+    return tuple(frozenset(j for j, ch in enumerate(text, 1) if ch == "1") for text in row_texts(m))
 
 
 def apply_tuple(fn, a, b):
@@ -196,7 +200,7 @@ def removal_basis_oracle(m: BinaryMatrix, descending: bool = False) -> Basis:
         if not all(a & b in present and a & ~b in present for a in present for b in present):
             raise PreconditionViolated("no basis: rows are not closed under both AND and ABJ")
         raise BasisVerificationFailed("the survivors are not an orthogonal basis")
-    return Basis(m.width, tuple(BitRow(m.width, v) for v in survivors))
+    return Basis(m.width, tuple(survivors))
 
 
 def all_families(width):

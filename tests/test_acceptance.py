@@ -18,9 +18,7 @@ from closurelab import (
     AND,
     CABJ,
     IMP,
-    BitRow,
     CampaignConfig,
-    apply,
     column_sum,
     compute_basis,
     conditional_witness,
@@ -28,7 +26,6 @@ from closurelab import (
     counterexample_identity,
     decompose,
     is_closed,
-    negate,
     parse_matrix,
     psi,
     run_campaign,
@@ -36,7 +33,9 @@ from closurelab import (
     tilde_op,
 )
 
-from conftest import random_closure, removal_basis_oracle
+from closurelab.operators import apply_values
+
+from conftest import random_closure, removal_basis_oracle, row_texts
 
 EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
 
@@ -82,7 +81,7 @@ def test_criterion_2_counterexamples():
                 assert is_closed(m, AND)
                 assert psi(m).max_psi == k + 1
         shown = counterexample_block(5, 2)
-        assert [str(r) for r in shown.rows] == [
+        assert row_texts(shown) == [
             "110000", "101000", "000100", "000010", "000001", "100000", "000000",
         ]
         assert psi(shown).max_psi == 3 and 2 * 3 < 7
@@ -217,13 +216,13 @@ def test_criterion_5_basis_property_suite():
         b = compute_basis(t)
         assert b == removal_basis_oracle(t) == removal_basis_oracle(t, descending=True)
         index_sets = set()
-        for row in t.rows:
+        for row in t.row_values:
             d = decompose(row, b)
             ored = 0
-            for i in d.index_set:
-                ored |= b.vectors[i - 1].value
-            assert ored == row.value
-            index_sets.add(d.index_set)
+            for i in d:
+                ored |= b.vectors[i - 1]
+            assert ored == row
+            index_sets.add(d)
         assert len(index_sets) == t.n_rows  # decompositions are unique per row
         w = conditional_witness(m)
         recount = column_sum(m, w.column)
@@ -252,12 +251,13 @@ def test_criterion_6_tilde_algebra():
     rng = random.Random(6)
     for _ in range(100):
         width = rng.randint(1, 8)
-        a = BitRow(width, rng.randrange(1 << width))
-        b = BitRow(width, rng.randrange(1 << width))
-        ta, tb = negate(a), negate(b)
-        lhs = apply(tilde_op(IMP), ta, tb)
-        ok = ok and lhs == negate(apply(IMP, a, b))
-        ok = ok and lhs == apply(AND, negate(ta), tb)  # (not A~) and B~
+        mask = (1 << width) - 1
+        a = rng.randrange(1 << width)
+        b = rng.randrange(1 << width)
+        ta, tb = a ^ mask, b ^ mask
+        lhs = apply_values(tilde_op(IMP).table, ta, tb, mask)
+        ok = ok and lhs == apply_values(IMP.table, a, b, mask) ^ mask
+        ok = ok and lhs == apply_values(AND.table, ta ^ mask, tb, mask)  # (not A~) and B~
     verdict(6, ok, "dual identity and involution exact over 16 ops x 4 pairs")
 
 

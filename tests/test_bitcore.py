@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from closurelab import (
     WIDTH_CAP,
     BinaryMatrix,
-    BitRow,
     SetFamily,
     column_sum,
-    family_to_matrix,
     format_family,
     format_matrix,
-    make_matrix,
-    matrix_to_family,
     parse_any,
     parse_family,
     parse_matrix,
@@ -26,49 +22,25 @@ from closurelab.errors import (
     IndexOutOfRange,
     ParseError,
     WidthCapExceeded,
-    WidthMismatch,
 )
 from closurelab import bitcore
 from closurelab.bitcore import column_sums
 
-from conftest import column_count_oracle, matrix_tuples
+from conftest import column_count_oracle, matrix_tuples, members, row_texts
 
-EXAMPLE_MEMBERS = [(), (1,), (1, 2), (2, 3, 4), (1, 2, 3, 4)]
+EXAMPLE_FAM = "ground 4\n-\n1\n1 2\n2 3 4\n1 2 3 4\n"
 EXAMPLE_ROWS = ["0000", "1000", "1100", "0111", "1111"]
 
 
 def example_family():
-    return SetFamily.from_members(4, EXAMPLE_MEMBERS)
-
-
-def test_bitrow_basics():
-    r = BitRow.from_string("0110")
-    assert r.width == 4 and r.value == 0b0110
-    assert r == BitRow.from_bits([0, 1, 1, 0])
-    assert str(r) == "0110"
-    assert r.bits() == (0, 1, 1, 0)
-    assert [r.bit(j) for j in (1, 2, 3, 4)] == [0, 1, 1, 0]
-    assert BitRow(2, 1) != BitRow(3, 1)  # same value, different width
-
-
-def test_bitrow_validation():
-    with pytest.raises(IndexOutOfRange):
-        BitRow.from_string("01").bit(3)
-    with pytest.raises(ValueError):
-        BitRow.from_string("01a")
-    with pytest.raises(ValueError):
-        BitRow(3, 8)
-    with pytest.raises(ValueError):
-        BitRow(0, 0)
-    BitRow(WIDTH_CAP, (1 << WIDTH_CAP) - 1)  # at the cap is fine
-    with pytest.raises(WidthCapExceeded):
-        BitRow(WIDTH_CAP + 1, 0)
+    return parse_family(EXAMPLE_FAM)
 
 
 def test_matrix_validates_packed_rows():
     for width, values in ((3, [8]), (3, [-1]), (0, [0]), (2, ["1"])):
         with pytest.raises(ValueError):
             BinaryMatrix.from_values(width, values)
+    BinaryMatrix.from_values(WIDTH_CAP, [(1 << WIDTH_CAP) - 1])  # at the cap is fine
     with pytest.raises(WidthCapExceeded):
         BinaryMatrix.from_values(WIDTH_CAP + 1, [0])
     with pytest.raises(Empty):
@@ -77,36 +49,18 @@ def test_matrix_validates_packed_rows():
         BinaryMatrix.from_values(4, [5, 5])
 
 
-def test_matrix_rows_are_bitrows_in_input_order():
+def test_matrix_row_values_keep_input_order():
     m = BinaryMatrix.from_values(3, [6, 1, 4])
-    assert m.rows == (BitRow(3, 6), BitRow(3, 1), BitRow(3, 4))
     assert m.row_values == (6, 1, 4)
+    assert row_texts(m) == ["110", "001", "100"]
 
 
 def test_family_is_a_matrix_but_not_equal_to_one():
     f = example_family()
-    m = family_to_matrix(f)
+    m = BinaryMatrix(f.width, f.row_values)
     assert isinstance(f, BinaryMatrix) and not isinstance(m, SetFamily)
     assert f.row_values == m.row_values
     assert f != m and m != f
-
-
-def test_make_matrix_construction():
-    m = make_matrix([BitRow.from_string("10"), BitRow.from_string("01")])
-    assert m.width == 2 and m.n_rows == 2
-    assert [str(r) for r in m.rows] == ["10", "01"]  # order preserved
-
-
-def test_make_matrix_rejects_duplicates():
-    with pytest.raises(DuplicateRow):
-        make_matrix([BitRow.from_string("10"), BitRow.from_string("10")])
-
-
-def test_make_matrix_rejects_width_mismatch_and_empty():
-    with pytest.raises(WidthMismatch):
-        make_matrix([BitRow.from_string("10"), BitRow.from_string("010")])
-    with pytest.raises(Empty):
-        make_matrix([])
 
 
 def test_duplicate_rejection_random_multisets():
@@ -115,17 +69,17 @@ def test_duplicate_rejection_random_multisets():
         width = rng.randint(1, 6)
         n = rng.randint(1, min(8, 1 << width))
         values = rng.sample(range(1 << width), n)
-        rows = [BitRow(width, v) for v in values]
-        make_matrix(rows)  # distinct rows always construct
-        dup_rows = rows + [rows[rng.randrange(n)]]
-        rng.shuffle(dup_rows)
+        BinaryMatrix.from_values(width, values)  # distinct rows always construct
+        dup_values = values + [values[rng.randrange(n)]]
+        rng.shuffle(dup_values)
         with pytest.raises(DuplicateRow):
-            make_matrix(dup_rows)
+            BinaryMatrix.from_values(width, dup_values)
 
 
 def test_example_family_to_matrix():
-    m = family_to_matrix(example_family())
-    assert [str(r) for r in m.rows] == EXAMPLE_ROWS
+    f = example_family()
+    m = BinaryMatrix(f.width, f.row_values)
+    assert row_texts(m) == EXAMPLE_ROWS
     assert m.non_zero
 
 
@@ -136,40 +90,43 @@ def test_family_matrix_round_trips():
         n = rng.randint(1, min(10, 1 << width))
         values = rng.sample(range(1 << width), n)
         m = BinaryMatrix.from_values(width, values)
-        assert family_to_matrix(matrix_to_family(m)) == m
-    f = example_family()
-    assert matrix_to_family(family_to_matrix(f)) == f
+        f = SetFamily(width, m.row_values)
+        assert parse_family(format_family(f)) == f
+        assert BinaryMatrix(f.width, f.row_values) == m
 
 
 def test_singleton_families():
-    m = family_to_matrix(SetFamily.from_members(1, [(1,)]))
-    assert m.width == 1 and [str(r) for r in m.rows] == ["1"]
-    m = family_to_matrix(SetFamily.from_members(2, [()]))
-    assert [str(r) for r in m.rows] == ["00"]
+    m = parse_family("ground 1\n1\n")
+    assert m.width == 1 and row_texts(m) == ["1"]
+    m = parse_family("ground 2\n-\n")
+    assert row_texts(m) == ["00"]
     assert not m.non_zero
 
 
 def test_matrix_to_family_members():
-    assert matrix_to_family(parse_matrix("000\n")).members() == (frozenset(),)
+    assert members(parse_matrix("000\n")) == (frozenset(),)
     eye = parse_matrix("100\n010\n001\n")
-    assert matrix_to_family(eye).members() == (
+    assert members(eye) == (
         frozenset({1}),
         frozenset({2}),
         frozenset({3}),
     )
+    assert format_family(parse_matrix("000\n")) == "ground 3\n-\n"
+    assert format_family(eye) == "ground 3\n1\n2\n3\n"
 
 
 def test_family_validation():
-    with pytest.raises(IndexOutOfRange):
-        SetFamily.from_members(3, [(4,)])
+    with pytest.raises(ValueError):
+        SetFamily(3, (0b1000,))  # element 4 of a ground set of 3
     with pytest.raises(DuplicateRow):
-        SetFamily.from_members(3, [(1,), (1,)])
+        SetFamily(3, (0b100, 0b100))
     with pytest.raises(Empty):
-        SetFamily.from_members(3, [])
+        SetFamily(3, ())
 
 
 def test_column_sum_example():
-    m = family_to_matrix(example_family())
+    f = example_family()
+    m = BinaryMatrix(f.width, f.row_values)
     assert column_sum(m, 1) == 3
     assert column_sum(m, 1) == column_count_oracle(matrix_tuples(m), 1)
     assert [column_sum(m, j) for j in range(1, 5)] == [3, 3, 2, 2]
@@ -246,7 +203,7 @@ def test_column_sum_plus_zero_count_is_n():
 def test_bm_parse_format_round_trip():
     text = "# header comment\n\n0000\n1000\n# middle\n1100\n0111\n1111\n"
     m = parse_matrix(text, "ex1.bm")
-    assert [str(r) for r in m.rows] == EXAMPLE_ROWS
+    assert row_texts(m) == EXAMPLE_ROWS
     assert format_matrix(m) == "0000\n1000\n1100\n0111\n1111\n"
     assert parse_matrix(format_matrix(m)) == m
 
@@ -593,5 +550,5 @@ def test_format_family_matches_the_element_reference(width):
         for m in (BinaryMatrix(width, tuple(values)), BinaryMatrix(width, tuple(values[:n]))):
             text = format_family(m)
             assert text == _reference_format_family(m)
-            assert parse_family(text) == matrix_to_family(m)
+            assert parse_family(text) == SetFamily(width, m.row_values)
     assert format_family(BinaryMatrix(width, (0,))) == f"ground {width}\n-\n"

@@ -502,7 +502,16 @@ def test_verbs_match_the_independent_oracle(tmp_path, width):
         ]
     for _ in range(3):
         rows = small_closure(rng, width, ("and", "abj"))
-        cases.append((["basis", write(rows)], oracle.basis_out(rows, width), 0))
+        path = write(rows)
+        vectors = oracle.basis(rows)
+        text = [f"vector {i}: {oracle.row_text(v, width)}" for i, v in enumerate(vectors, 1)]
+        for r in rows:
+            indices = [str(i) for i, v in enumerate(vectors, 1) if v & r == v]
+            text.append(f"row {oracle.row_text(r, width)}: {' '.join(indices) or '-'}")
+        cases += [
+            (["basis", path], oracle.basis_out(rows, width), 0),
+            (["basis", path, "--format", "text"], "".join(f"{t}\n" for t in text).encode(), 0),
+        ]
     if width >= 3:
         # Two overlapping rows, neither inside the other: no basis.
         shared, only_a, only_b = (1 << k for k in rng.sample(range(width), 3))

@@ -22,6 +22,7 @@ from conftest import (
     canonical_form_oracle,
     canonical_key_oracle,
     first_col_perm_oracle,
+    matrix_tuples,
     random_distinct_matrix,
 )
 
@@ -29,7 +30,7 @@ EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
 
 
 def canon_tuples(m):
-    return tuple(tuple(int(ch) for ch in str(r)) for r in canonicalize(m).matrix.rows)
+    return tuple(matrix_tuples(canonicalize(m).matrix))
 
 
 def test_row_swap_same_canonical_form():

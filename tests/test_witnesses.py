@@ -23,9 +23,9 @@ from closurelab import (
     group_witness,
     imp_implies_or_closed,
     is_closed,
-    matrix_to_family,
     negation_witness,
     op_name,
+    parse_family,
     parse_matrix,
     parse_op,
     sheffer_reduction,
@@ -45,8 +45,10 @@ from conftest import (
     column_count_oracle,
     family_matrix,
     matrix_tuples,
+    members,
     neg_closed_oracle,
     random_closure,
+    row_texts,
 )
 
 EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
@@ -137,7 +139,7 @@ def test_sheffer_not_closed_pair():
 
 def test_sheffer_closure_of_single_row():
     c = closure(parse_matrix("01\n"), NAND)
-    assert {str(r) for r in c.rows} == {"01", "10", "11", "00"}
+    assert set(row_texts(c)) == {"01", "10", "11", "00"}
     w = sheffer_reduction(c, NAND)
     assert (w.ones, w.total_rows) == (2, 4)
     recount(c, w)
@@ -221,44 +223,51 @@ def test_xnor_closed_contains_ones_row_and_tilde_is_xor_closed():
         recount(m, group_witness(m, XNOR))
 
 
+def family(width: int, sets) -> SetFamily:
+    """The family of the given element collections, in order, read
+    from its ".fam" text."""
+    lines = "".join(f"{' '.join(map(str, s)) or '-'}\n" for s in sets)
+    return parse_family(f"ground {width}\n{lines}")
+
+
 def topology_recount(f: SetFamily, element: int):
-    members = f.members()
-    count = sum(1 for s in members if element in s)
-    assert 2 * count >= len(members)
+    sets = members(f)
+    count = sum(1 for s in sets if element in s)
+    assert 2 * count >= len(sets)
     return count
 
 
 def test_topology_witness_chain():
-    f = SetFamily.from_members(2, [(), (1,), (1, 2)])
+    f = family(2, [(), (1,), (1, 2)])
     element = topology_witness(f)
     assert element == 1
     assert topology_recount(f, element) == 2
 
 
 def test_topology_witness_disjoint_minimal():
-    f = SetFamily.from_members(3, [(1, 2), (3,), (1, 2, 3)])
+    f = family(3, [(1, 2), (3,), (1, 2, 3)])
     element = topology_witness(f)
     assert element == 3
     assert topology_recount(f, element) == 2
 
 
 def test_topology_witness_on_closed_example_family():
-    base = matrix_to_family(parse_matrix(EXAMPLE1)).members()
+    base = members(parse_matrix(EXAMPLE1))
     closed = close_sets_oracle(base)
     ordered = sorted(closed, key=lambda s: (len(s), tuple(sorted(s))))
-    f = SetFamily.from_members(4, [tuple(sorted(s)) for s in ordered])
+    f = family(4, [tuple(sorted(s)) for s in ordered])
     element = topology_witness(f)
     topology_recount(f, element)
 
 
 def test_topology_witness_preconditions():
     with pytest.raises(PreconditionViolated):
-        topology_witness(SetFamily.from_members(3, [(1,), (2,)]))  # union absent
+        topology_witness(family(3, [(1,), (2,)]))  # union absent
     with pytest.raises(PreconditionViolated):
         # intersection {2} missing while nonempty
-        topology_witness(SetFamily.from_members(3, [(1, 2), (2, 3), (1, 2, 3)]))
+        topology_witness(family(3, [(1, 2), (2, 3), (1, 2, 3)]))
     with pytest.raises(AllEmpty):
-        topology_witness(SetFamily.from_members(3, [()]))
+        topology_witness(family(3, [()]))
 
 
 def test_topology_witness_random_lattices():
@@ -273,7 +282,7 @@ def test_topology_witness_random_lattices():
         closed = close_sets_oracle(seeds)
         if all(not s for s in closed):
             continue
-        f = SetFamily.from_members(width, [tuple(sorted(s)) for s in sorted(closed, key=sorted)])
+        f = family(width, [tuple(sorted(s)) for s in sorted(closed, key=sorted)])
         element = topology_witness(f)
         topology_recount(f, element)
 
@@ -281,10 +290,10 @@ def test_topology_witness_random_lattices():
 def topology_member_rule(m):
     """The rule on frozenset members: the smallest nonempty member by
     (size, sorted elements), its smallest element, and that element's count."""
-    members = matrix_to_family(m).members()
-    b = min((s for s in members if s), key=lambda s: (len(s), tuple(sorted(s))))
+    sets = members(m)
+    b = min((s for s in sets if s), key=lambda s: (len(s), tuple(sorted(s))))
     element = min(b)
-    return element, sum(1 for s in members if element in s)
+    return element, sum(1 for s in sets if element in s)
 
 
 def and_or_closed_families():
@@ -345,16 +354,16 @@ def test_minimal_member_matches_the_size_then_value_key():
 
 def topology_reference(f: SetFamily):
     """The pair-loop gate: the first failing pair names the check."""
-    members = f.members()
-    member_set = set(members)
-    for a in members:
-        for b in members:
+    sets = members(f)
+    member_set = set(sets)
+    for a in sets:
+        for b in sets:
             if a | b not in member_set:
                 raise PreconditionViolated("family is not closed under union")
             meet = a & b
             if meet and meet not in member_set:
                 raise PreconditionViolated("family is not closed under nonempty intersection")
-    if not any(members):
+    if not any(sets):
         raise AllEmpty("every member is the empty set; no element exists")
     return _topology_core(MatrixViews(f)).column
 
@@ -387,18 +396,18 @@ def wide_gate_families():
                  for _ in range(rng.randint(1, 4))]
         closed = sorted(close_sets_oracle(seeds), key=sorted)
         rng.shuffle(closed)
-        yield SetFamily.from_members(width, closed)
+        yield family(width, closed)
         if len(closed) > 1:
             del closed[rng.randrange(len(closed))]
-            yield SetFamily.from_members(width, closed)
+            yield family(width, closed)
         s = rng.sample(ground, rng.randint(2, width))
         i = rng.randint(1, len(s) - 1)
-        yield SetFamily.from_members(width, [s[:i], s[i:], s])
+        yield family(width, [s[:i], s[i:], s])
         s = rng.sample(ground, rng.randint(3, width))
         i = rng.randint(1, len(s) - 2)
         j = rng.randint(i + 1, len(s) - 1)
-        yield SetFamily.from_members(width, [s[:j], s[i:], s])
-    yield SetFamily.from_members(9, [()])
+        yield family(width, [s[:j], s[i:], s])
+    yield family(9, [()])
 
 
 @pytest.mark.parametrize(
@@ -450,9 +459,8 @@ def test_conditional_split_matches_decompose():
         if not basis.vectors:
             continue
         split += 1
-        users = [row for row in tilde.rows if 1 in decompose(row, basis).index_set]
-        v1 = basis.vectors[0]
-        column = next(j for j in range(1, m.width + 1) if v1.bit(j))
+        users = [row for row in tilde.row_values if 1 in decompose(row, basis)]
+        column = f"{basis.vectors[0]:0{m.width}b}".index("1") + 1
         w = conditional_witness(m)
         assert (w.column, w.ones, w.total_rows) == (column, m.n_rows - len(users), m.n_rows)
     assert split > 40
@@ -508,8 +516,8 @@ def test_imp_implies_or_closed():
 def meets_gate_hypothesis(theorem, m) -> bool:
     """The hypothesis a public witness's gate demands, by the tuple oracles."""
     if theorem.verb == "topology":
-        members = matrix_to_family(m).members()
-        return close_sets_oracle(members) == set(members)
+        sets = members(m)
+        return close_sets_oracle(sets) == set(sets)
     tuples = matrix_tuples(m)
     return all(
         neg_closed_oracle(tuples) if op is NEGATION else closed_oracle(tuples, SEMANTICS[op_name(op)])
