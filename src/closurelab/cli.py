@@ -237,7 +237,7 @@ def basis_cmd(input, fmt, output):
         _emit_kv(lines, output)
 
 
-_WITNESSES = {t.verb: t.witness for t in THEOREMS if t.verb}
+_WITNESSES = {t.verb: t.witness for t in THEOREMS.values() if t.verb}
 
 
 @cli.command("witness")

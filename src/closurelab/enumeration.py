@@ -62,14 +62,16 @@ RANDOM_OPS = (NEGATION, AND, OR, XOR, XNOR, NAND, NOR, IMP, ABJ)
 
 #: Proved statements re-checked on every family whose hypothesis holds:
 #: the theorem table, then the count flip every non-zero family gets.
-THEOREM_NAMES = tuple(t.name for t in THEOREMS) + ("complement_count_flip",)
+THEOREM_NAMES = tuple(THEOREMS) + ("complement_count_flip",)
 
 #: The half-membership check of every non-zero OR-closed family, counted
 #: under "frankl" in the summary rather than with the theorems.
 FRANKL_CHECK = "union_closed_frankl"
 
 #: Each table row with its hypothesis as bits of the 16-bit closure mask.
-_HYPOTHESIS_MASKS = tuple((t, sum(1 << op.table for op in t.hypothesis)) for t in THEOREMS)
+_HYPOTHESIS_MASKS = tuple(
+    (t, sum(1 << op.table for op in t.hypothesis)) for t in THEOREMS.values()
+)
 
 #: (mask bit, summary name) of every counted closure; "not" reads bit 3.
 _CLOSED_NAMES = tuple((op.table, op_name(op)) for op in (*ALL_OPS, NEGATION))

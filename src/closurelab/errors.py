@@ -56,10 +56,6 @@ class BasisVerificationFailed(VerificationFailed):
     """The constructed basis failed its own orthogonality/decomposition check."""
 
 
-class GroupAxiomFailed(VerificationFailed):
-    """A closed row set failed a group axiom that closure should imply."""
-
-
 class AllEmpty(ClosureLabError):
     """Every member of the family is the empty set; no witness element exists."""
 

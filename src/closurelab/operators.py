@@ -28,10 +28,6 @@ class BoolOp:
         if not isinstance(self.table, int) or not 0 <= self.table <= 15:
             raise ValueError(f"truth table must be in [0, 15], got {self.table!r}")
 
-    def output(self, a: int, b: int) -> int:
-        """Output bit on the single-bit input pair (a, b)."""
-        return (self.table >> (2 * a + b)) & 1
-
     def __str__(self) -> str:
         return op_name(self)
 
@@ -185,11 +181,8 @@ def tilde_matrix(m: BinaryMatrix) -> BinaryMatrix:
 def tilde_op(op: BoolOp) -> BoolOp:
     """The operator dual under complementing both inputs and the output.
 
-    tilde_op(op)(not a, not b) == not op(a, b) for all bits; computed by
-    brute force over the four input pairs.
+    tilde_op(op)(not a, not b) == not op(a, b) for all bits: op applied
+    to the complemented projection tables (3 is not a, 5 is not b),
+    then complemented.
     """
-    table = 0
-    for x in (0, 1):
-        for y in (0, 1):
-            table |= (1 - op.output(1 - x, 1 - y)) << (2 * x + y)
-    return BoolOp(table)
+    return BoolOp(apply_values(op.table, 3, 5, 15) ^ 15)

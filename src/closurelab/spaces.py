@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .bitcore import BinaryMatrix, _packed_matrix, column_sums
-from .errors import ParameterOutOfRange
+from .bitcore import WIDTH_CAP, BinaryMatrix, _packed_matrix, column_sums
+from .errors import ParameterOutOfRange, WidthCapExceeded
 from .operators import OpLike, apply_values
 
 
@@ -279,6 +279,9 @@ def counterexample_identity(n: int) -> BinaryMatrix:
     """
     if n < 1:
         raise ParameterOutOfRange(f"n must be >= 1, got {n}")
+    # Checked before the rows are built: they take about n * n / 2 bits.
+    if n > WIDTH_CAP:
+        raise WidthCapExceeded(f"width {n} exceeds cap {WIDTH_CAP}")
     values = [1 << (n - i) for i in range(1, n + 1)]
     values.append(0)
     return BinaryMatrix.from_values(n, values)
@@ -294,6 +297,8 @@ def counterexample_block(n: int, k: int) -> BinaryMatrix:
         raise ParameterOutOfRange(f"n must be >= 1, got {n}")
     if not 1 <= k <= n:
         raise ParameterOutOfRange(f"k must be in [1, {n}], got {k}")
+    if n + 1 > WIDTH_CAP:
+        raise WidthCapExceeded(f"width {n + 1} exceeds cap {WIDTH_CAP}")
     first = 1 << n
     values = []
     for i in range(1, n + 1):

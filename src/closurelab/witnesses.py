@@ -8,15 +8,16 @@ A failed hypothesis raises PreconditionViolated; a failed internal step
 raises VerificationFailed and means a bug, since the theorems guarantee
 success on every valid input.
 
-THEOREMS lists each theorem once: its name, its `closurelab witness`
-verb, the operators of its hypothesis and its core. The private core
-assumes the hypothesis and runs the proof. Theorem.witness is the gate
-in front of it: closure under each hypothesis operator in order, then a
-non-zero matrix, each raising PreconditionViolated when it fails. A
-campaign reads the same hypothesis from its closure-mask bits and calls
-the core directly; the public witnesses and the `witness` verb call the
-row's Theorem.witness. Only the topology row gates on something weaker
-than its campaign hypothesis, and stores that gate on the row.
+THEOREMS maps each theorem's name to its one row: the name, its
+`closurelab witness` verb, the operators of its hypothesis and its
+core. The private core assumes the hypothesis and runs the proof.
+Theorem.witness is the gate in front of it: closure under each
+hypothesis operator in order, then a non-zero matrix, each raising
+PreconditionViolated when it fails. A campaign reads the same
+hypothesis from its closure-mask bits and calls the core directly;
+library callers and the `witness` verb call THEOREMS[name].witness(m).
+Only the topology row gates on something weaker than its campaign
+hypothesis, and stores that gate on the row.
 
 Every core takes one MatrixViews record: the matrix and the views of it
 that several cores read, each computed on first use and kept. A campaign
@@ -37,12 +38,7 @@ from typing import Callable
 
 from .basis import compute_basis
 from .bitcore import BinaryMatrix, column_sum, column_sums
-from .errors import (
-    AllEmpty,
-    GroupAxiomFailed,
-    PreconditionViolated,
-    VerificationFailed,
-)
+from .errors import AllEmpty, PreconditionViolated, VerificationFailed
 from .operators import (
     ABJ,
     AND,
@@ -102,19 +98,17 @@ def _recount(m: BinaryMatrix, column: int) -> FranklWitness:
     return FranklWitness(column, ones, n)
 
 
-def negation_witness(m: BinaryMatrix) -> FranklWitness:
-    """Witness for rows closed under negation.
+def _negation_core(views: MatrixViews) -> FranklWitness:
+    """Witness for rows closed under negation, NAND or NOR.
 
     Rows split into complementary pairs, so the row count is even, no
     column is constant, and every column holds exactly n/2 ones. The
     pairing is checked explicitly: the complemented rows are the rows
     again. Complementing flips column 1, so this says that the rows with
     a leading 1 are exactly the complements of the rows with a leading 0.
+    NAND or NOR of a row with itself is its negation, so rows closed
+    under either are negation-closed and the pairing applies unchanged.
     """
-    return _THEOREM["negation_lemma"].witness(m)
-
-
-def _negation_core(views: MatrixViews) -> FranklWitness:
     m = views.m
     n = m.n_rows
     if not views.paired:
@@ -125,19 +119,7 @@ def _negation_core(views: MatrixViews) -> FranklWitness:
     return _recount(m, 1)
 
 
-def sheffer_reduction(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
-    """Witness for rows closed under NAND or NOR.
-
-    Applying either operator to a row and itself yields the row's
-    negation, so the set is negation-closed and the negation pairing
-    applies unchanged.
-    """
-    if op not in (NAND, NOR):
-        raise ValueError(f"expected NAND or NOR, got {op_name(op)}")
-    return _THEOREM["nand_reduction" if op == NAND else "nor_reduction"].witness(m)
-
-
-def group_witness(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
+def _group_core(views: MatrixViews, op: BoolOp) -> FranklWitness:
     """Witness for rows closed under XOR or XNOR.
 
     The rows form a group (identity: the zero row for XOR, the all-ones
@@ -147,47 +129,27 @@ def group_witness(m: BinaryMatrix, op: BoolOp) -> FranklWitness:
     ones; the rows-with-1 / rows-with-0 split there is checked to favor
     the ones side.
     """
-    if op not in (XOR, XNOR):
-        raise ValueError(f"expected XOR or XNOR, got {op_name(op)}")
-    return _THEOREM["xor_group" if op == XOR else "xnor_group"].witness(m)
-
-
-def _group_core(views: MatrixViews, op: BoolOp) -> FranklWitness:
     m = views.m
     n = m.n_rows
     # The diagonal a op a is the identity, so every element is its own
     # inverse and the identity is present; the latter stays an assertion.
     identity = 0 if op == XOR else (1 << m.width) - 1
     if identity not in m.row_values:
-        raise GroupAxiomFailed("identity element missing from a closed row set")
+        raise VerificationFailed("identity element missing from a closed row set")
     for j, ones in enumerate(views.sums, 1):
         if 2 * ones >= n:
             return _recount(m, j)
     raise VerificationFailed("no column reaches half the rows in a group-closed set")
 
 
-def topology_witness(m: BinaryMatrix) -> int:
-    """Element contained in at least half the members of a family closed
-    under union and (nonempty) intersection.
-
-    Any matrix qualifies, its rows read as members and column j as
-    element j. Take the minimal-cardinality nonempty member that is
-    lexicographically smallest among ties. Every member either contains
-    it or misses it entirely; joining it to the members that miss it
-    embeds them injectively into the members that contain it, so its
-    elements appear in at least half the family. Returns the smallest
-    such element.
+def _topology_gate(m: BinaryMatrix) -> None:
+    """Raise unless the family is closed under union and nonempty
+    intersection and has a nonempty member.
 
     Families whose pairwise intersections may be empty without the empty
     set being a member still qualify; only the closure that can be
     satisfied is demanded.
     """
-    return _THEOREM["topology"].witness(m).column
-
-
-def _topology_gate(m: BinaryMatrix) -> None:
-    """Raise unless the family is closed under union and nonempty
-    intersection and has a nonempty member."""
     # Union is OR of the rows; a nonempty intersection is an AND image
     # other than the empty row 0. Since a & 0 == 0, the rows plus 0 are
     # AND-closed exactly when every AND image of the rows is a row or 0.
@@ -215,6 +177,17 @@ def _minimal_member(values: tuple[int, ...]) -> int:
 
 
 def _topology_core(views: MatrixViews) -> FranklWitness:
+    """Element contained in at least half the members of a family closed
+    under union and (nonempty) intersection.
+
+    Any matrix qualifies, its rows read as members and column j as
+    element j. Take the minimal-cardinality nonempty member that is
+    lexicographically smallest among ties. Every member either contains
+    it or misses it entirely; joining it to the members that miss it
+    embeds them injectively into the members that contain it, so its
+    elements appear in at least half the family. The certificate's
+    column is the smallest such element.
+    """
     m = views.m
     values = m.row_values
     n = len(values)
@@ -238,7 +211,7 @@ def _topology_core(views: MatrixViews) -> FranklWitness:
     return FranklWitness(element, ones, n)
 
 
-def conditional_witness(m: BinaryMatrix) -> FranklWitness:
+def _conditional_core(views: MatrixViews) -> FranklWitness:
     """Witness for rows closed under the material conditional.
 
     The complemented rows are AND/ABJ-closed and so carry a unique
@@ -247,10 +220,6 @@ def conditional_witness(m: BinaryMatrix) -> FranklWitness:
     into the non-users, so v1's columns carry ones in at most half the
     complemented rows, i.e. at least half the original rows.
     """
-    return _THEOREM["material_conditional"].witness(m)
-
-
-def _conditional_core(views: MatrixViews) -> FranklWitness:
     m, tilde = views.m, views.tilde
     n = m.n_rows
     basis = compute_basis(tilde)  # preconditions guaranteed; raises if not
@@ -280,7 +249,7 @@ def _conditional_core(views: MatrixViews) -> FranklWitness:
     return FranklWitness(t, ones, n)
 
 
-def tilde_closure_properties(m: BinaryMatrix) -> bool:
+def _tilde_preconditions_core(views: MatrixViews) -> bool:
     """For a conditional-closed matrix, whether the complemented rows
     are closed under AND and under ABJ.
 
@@ -289,27 +258,18 @@ def tilde_closure_properties(m: BinaryMatrix) -> bool:
     a and b = a and not (a and not b)); this runs the check anyway so
     the claim is exercised computationally.
     """
-    return _THEOREM["tilde_preconditions"].witness(m)
-
-
-def _tilde_preconditions_core(views: MatrixViews) -> bool:
     return views.tilde_and and is_closed(views.tilde, ABJ)
 
 
-def imp_implies_or_closed(m: BinaryMatrix) -> bool:
+def _imp_implies_or_core(views: MatrixViews) -> bool:
     """Whether a conditional-closed row set is also closed under OR.
 
     Always true: the complemented rows are closed under AND, so the
-    complement of every pairwise OR is present among them. Both the
+    complement of every pairwise OR (~(a | b) is ~a & ~b) is present
+    among them. Both the
     complement-side membership and the direct OR-closure are computed
     and compared.
     """
-    return _THEOREM["imp_implies_or"].witness(m)
-
-
-def _imp_implies_or_core(views: MatrixViews) -> bool:
-    """OR closure of the rows, decided directly and as AND closure of
-    the complemented rows (~(a | b) is ~a & ~b), which must agree."""
     direct = is_closed(views.m, OR)
     if views.tilde_and != direct:
         raise VerificationFailed("complement-side and direct OR-closure disagree")
@@ -347,24 +307,24 @@ class Theorem:
         return self.core(MatrixViews(m))
 
 
-#: Rows in `closurelab witness` verb order; the campaign also runs them
-#: in this order.
-THEOREMS = (
-    Theorem("negation_lemma", "not", (NEGATION,), _negation_core),
-    # NAND or NOR of a row with itself is its negation.
-    Theorem("nand_reduction", "nand", (NAND,), _negation_core),
-    Theorem("nor_reduction", "nor", (NOR,), _negation_core),
-    Theorem("xor_group", "xor", (XOR,), lambda views: _group_core(views, XOR)),
-    Theorem("xnor_group", "xnor", (XNOR,), lambda views: _group_core(views, XNOR)),
-    # One chain: the complement is AND- and ABJ-closed (tilde_preconditions),
-    # so its basis gives the column (material_conditional), and its AND
-    # closure is OR closure of the rows (imp_implies_or).
-    Theorem("material_conditional", "imp", (IMP,), _conditional_core),
-    Theorem("tilde_preconditions", None, (IMP,), _tilde_preconditions_core),
-    Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core),
-    # The campaign hypothesis is AND and OR; the public witness gates on
-    # the weaker union and nonempty-intersection closure of the family.
-    Theorem("topology", "topology", (AND, OR), _topology_core, _topology_gate),
-)
-
-_THEOREM = {t.name: t for t in THEOREMS}
+#: Each theorem by name, in `closurelab witness` verb order; the campaign
+#: also runs them in this order.
+THEOREMS = {
+    t.name: t
+    for t in (
+        Theorem("negation_lemma", "not", (NEGATION,), _negation_core),
+        Theorem("nand_reduction", "nand", (NAND,), _negation_core),
+        Theorem("nor_reduction", "nor", (NOR,), _negation_core),
+        Theorem("xor_group", "xor", (XOR,), lambda views: _group_core(views, XOR)),
+        Theorem("xnor_group", "xnor", (XNOR,), lambda views: _group_core(views, XNOR)),
+        # One chain: the complement is AND- and ABJ-closed (tilde_preconditions),
+        # so its basis gives the column (material_conditional), and its AND
+        # closure is OR closure of the rows (imp_implies_or).
+        Theorem("material_conditional", "imp", (IMP,), _conditional_core),
+        Theorem("tilde_preconditions", None, (IMP,), _tilde_preconditions_core),
+        Theorem("imp_implies_or", None, (IMP,), _imp_implies_or_core),
+        # The campaign hypothesis is AND and OR; witness(m) gates on the
+        # weaker union and nonempty-intersection closure of the family.
+        Theorem("topology", "topology", (AND, OR), _topology_core, _topology_gate),
+    )
+}

@@ -37,6 +37,11 @@ SEMANTICS = {
 }
 
 
+def truth_fn(op):
+    """op as a function of two bits: bit 2a + b of its truth table."""
+    return lambda a, b: op.table >> (2 * a + b) & 1
+
+
 def row_tuple(value: int, width: int) -> tuple[int, ...]:
     """A row value's bits, column 1 first, read from its binary text."""
     return tuple(int(ch) for ch in format(value, f"0{width}b"))

@@ -18,10 +18,10 @@ from closurelab import (
     AND,
     CABJ,
     IMP,
+    THEOREMS,
     CampaignConfig,
     column_sum,
     compute_basis,
-    conditional_witness,
     counterexample_block,
     counterexample_identity,
     decompose,
@@ -35,7 +35,7 @@ from closurelab import (
 
 from closurelab.operators import apply_values
 
-from conftest import random_closure, removal_basis_oracle, row_texts
+from conftest import random_closure, removal_basis_oracle, row_texts, truth_fn
 
 EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
 
@@ -224,7 +224,7 @@ def test_criterion_5_basis_property_suite():
             assert ored == row
             index_sets.add(d)
         assert len(index_sets) == t.n_rows  # decompositions are unique per row
-        w = conditional_witness(m)
+        w = THEOREMS["material_conditional"].witness(m)
         recount = column_sum(m, w.column)
         assert recount == w.ones and 2 * recount >= m.n_rows
         spaces += 1
@@ -246,7 +246,7 @@ def test_criterion_6_tilde_algebra():
         ok = ok and tilde_op(dual) == op
         for a in (0, 1):
             for b in (0, 1):
-                ok = ok and dual.output(1 - a, 1 - b) == 1 - op.output(a, b)
+                ok = ok and truth_fn(dual)(1 - a, 1 - b) == 1 - truth_fn(op)(a, b)
     ok = ok and tilde_op(IMP) == CABJ
     rng = random.Random(6)
     for _ in range(100):

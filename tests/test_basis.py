@@ -6,6 +6,7 @@ from closurelab import (
     ABJ,
     AND,
     IMP,
+    THEOREMS,
     Basis,
     BinaryMatrix,
     closure,
@@ -13,7 +14,6 @@ from closurelab import (
     decompose,
     is_closed,
     parse_matrix,
-    tilde_closure_properties,
     tilde_matrix,
 )
 from closurelab import basis
@@ -57,7 +57,7 @@ def test_preconditions():
     rng = random.Random(3)
     for _ in range(30):
         space = random_closure(rng.randint(2, 6), IMP, 2, rng)
-        assert tilde_closure_properties(space)
+        assert THEOREMS["tilde_preconditions"].witness(space)
 
 
 def test_compute_basis_example_matrix_fails():
@@ -176,10 +176,10 @@ def test_decompose_never_silently_wrong():
 
 def test_tilde_closure_properties():
     two_rows = parse_matrix("10\n11\n")
-    assert tilde_closure_properties(two_rows)
+    assert THEOREMS["tilde_preconditions"].witness(two_rows)
     rng = random.Random(5050)
     for _ in range(50):
         space = random_closure(rng.randint(2, 7), IMP, 2, rng)
-        assert tilde_closure_properties(space)
+        assert THEOREMS["tilde_preconditions"].witness(space)
     with pytest.raises(PreconditionViolated):
-        tilde_closure_properties(parse_matrix(EXAMPLE1))
+        THEOREMS["tilde_preconditions"].witness(parse_matrix(EXAMPLE1))

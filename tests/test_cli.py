@@ -85,6 +85,19 @@ def test_counterexample_block_five_two_rows():
     assert bad.exit_code == 2
 
 
+def test_counterexample_over_cap_width_exits_2_before_building_rows():
+    # A million rows of a million bits would need tens of GB; the width
+    # is checked first.
+    for args, width in (
+        (["identity", "--n", "1000000"], 1000000),
+        (["block", "--n", "1000000", "--k", "1"], 1000001),
+    ):
+        result = invoke("counterexample", *args)
+        assert (result.exit_code, result.stderr, result.stdout) == (
+            2, f"error: width {width} exceeds cap 64\n", ""
+        )
+
+
 def test_check_closure_exit_codes(tmp_path):
     path = write(tmp_path, "ex1.bm", EXAMPLE1_BM)
     ok = invoke("check-closure", path, "--op", "or")

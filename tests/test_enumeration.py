@@ -15,15 +15,13 @@ from closurelab import (
     NEGATION,
     NOR,
     OR,
+    THEOREMS,
     BinaryMatrix,
     BoolOp,
     CampaignConfig,
-    conditional_witness,
-    imp_implies_or_closed,
     is_closed,
     parse_matrix,
     run_campaign,
-    tilde_closure_properties,
 )
 from closurelab import bitcore, enumeration, witnesses
 from closurelab.cli import cli
@@ -510,18 +508,14 @@ def imp_closed_families():
 
 def test_shared_imp_chain_matches_the_public_witnesses():
     # The campaign runs the three IMP rows on one shared MatrixViews record
-    # per family; each public function builds its own and proves the hypothesis.
-    public = {
-        "material_conditional": conditional_witness,
-        "tilde_preconditions": tilde_closure_properties,
-        "imp_implies_or": imp_implies_or_closed,
-    }
+    # per family; each row's witness(m) builds its own and proves the hypothesis.
+    names = ("material_conditional", "tilde_preconditions", "imp_implies_or")
     seen = set()
     for width, values, closed in imp_closed_families():
         runs = dict(_theorem_runs(width, values, closed))
         m = BinaryMatrix.from_values(width, values)
-        for name, function in public.items():
-            assert runs[name]() == function(m), (name, width, values)
+        for name in names:
+            assert runs[name]() == THEOREMS[name].witness(m), (name, width, values)
         seen.add(width)
     assert seen == {1, 2, 3, 4, 8}
 

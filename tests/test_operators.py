@@ -25,7 +25,15 @@ from closurelab import (
 )
 from closurelab.operators import ABOVE, CLONE, apply_values
 
-from conftest import SEMANTICS, apply_tuple, matrix_tuples, neg_tuple, row_texts, row_tuple
+from conftest import (
+    SEMANTICS,
+    apply_tuple,
+    matrix_tuples,
+    neg_tuple,
+    row_texts,
+    row_tuple,
+    truth_fn,
+)
 
 NAMED = {
     "and": AND,
@@ -46,7 +54,7 @@ def test_named_aliases_match_classical_tables():
         fn = SEMANTICS[name]
         for a in (0, 1):
             for b in (0, 1):
-                assert op.output(a, b) == fn(a, b), (name, a, b)
+                assert truth_fn(op)(a, b) == fn(a, b), (name, a, b)
 
 
 def test_sixteen_distinct_operators():
@@ -83,7 +91,7 @@ def test_apply_matches_tuple_oracle():
         a = rng.randrange(1 << width)
         b = rng.randrange(1 << width)
         op = ALL_OPS[rng.randrange(16)]
-        fn = lambda x, y: op.output(x, y)
+        fn = truth_fn(op)
         expected = apply_tuple(fn, row_tuple(a, width), row_tuple(b, width))
         got = apply_values(op.table, a, b, (1 << width) - 1)
         assert row_tuple(got, width) == expected
@@ -147,7 +155,7 @@ def test_tilde_op_defining_identity_exhaustive():
         dual = tilde_op(op)
         for a in (0, 1):
             for b in (0, 1):
-                assert dual.output(1 - a, 1 - b) == 1 - op.output(a, b)
+                assert truth_fn(dual)(1 - a, 1 - b) == 1 - truth_fn(op)(a, b)
 
 
 def test_tilde_op_involution_all_sixteen():
@@ -218,7 +226,7 @@ def test_clone_table_facts():
 
 def apply_table(f, x, y):
     """Truth table of f(x, y) for tables x and y, one input pair at a time."""
-    return sum(BoolOp(f).output(x >> k & 1, y >> k & 1) << k for k in range(4))
+    return sum(truth_fn(BoolOp(f))(x >> k & 1, y >> k & 1) << k for k in range(4))
 
 
 def test_clone_table_is_closed_and_above_is_its_converse():

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -26,7 +27,7 @@ from closurelab import (
     psi,
 )
 from closurelab.enumeration import _closed_mask_direct, _neg_closed
-from closurelab.errors import ParameterOutOfRange
+from closurelab.errors import ParameterOutOfRange, WidthCapExceeded
 from closurelab.operators import apply_values
 from closurelab.spaces import (
     _diagonal,
@@ -48,6 +49,7 @@ from conftest import (
     random_closure,
     random_distinct_matrix,
     row_texts,
+    truth_fn,
 )
 
 EXAMPLE1 = "0000\n1000\n1100\n0111\n1111\n"
@@ -76,7 +78,7 @@ def test_is_closed_matches_oracle_randomly():
         n = rng.randint(1, min(8, 1 << width))
         m = random_distinct_matrix(rng, width, n)
         op = ALL_OPS[rng.randrange(16)]
-        assert is_closed(m, op) == closed_oracle(matrix_tuples(m), op.output)
+        assert is_closed(m, op) == closed_oracle(matrix_tuples(m), truth_fn(op))
         assert is_closed(m, NEGATION) == neg_closed_oracle(matrix_tuples(m))
 
 
@@ -92,7 +94,7 @@ def assert_kernel_matches_oracle(m: BinaryMatrix) -> None:
     on every truth table and on negation, and negation closure is closure
     under tables 3 (not a) and 5 (not b)."""
     rows = matrix_tuples(m)
-    expected = sum(1 << op.table for op in ALL_OPS if closed_oracle(rows, op.output))
+    expected = sum(1 << op.table for op in ALL_OPS if closed_oracle(rows, truth_fn(op)))
     assert _closed_mask_direct(m.width, m.row_values) == expected
     for op in ALL_OPS:
         assert is_closed(m, op) == bool(expected >> op.table & 1), op
@@ -149,7 +151,7 @@ def test_closed_under_on_the_rows_alone_matches_an_explicit_set_and_the_oracle()
     for width in range(1, 13):
         mask = (1 << width) - 1
         for op in _OPS:
-            output = op.output if isinstance(op, BoolOp) else lambda a, b: 1 - a
+            output = truth_fn(op) if isinstance(op, BoolOp) else lambda a, b: 1 - a
             for _ in range(3):
                 gens = random_distinct_matrix(rng, width, rng.randint(1, min(2, 1 << width)))
                 closed = closure(gens, op).row_values
@@ -330,7 +332,7 @@ def test_closed_under_matches_oracle_at_width_8_with_nonzero_u():
             cases = [closed, closed[:-1] or closed, tuple(rng.sample(range(256), 12))]
             for values in cases:
                 rows = matrix_tuples(BinaryMatrix.from_values(8, values))
-                expected = closed_oracle(rows, op.output)
+                expected = closed_oracle(rows, truth_fn(op))
                 assert closed_under(op.table, values, 255) == expected, (op, values)
                 outcomes.add(expected)
     assert outcomes == {True, False}
@@ -355,7 +357,7 @@ def first_row_passing_set(table: int, width: int, rng: random.Random):
                 break
             values += new
         tuples = matrix_tuples(BinaryMatrix.from_values(width, values))
-        if not closed_oracle(tuples, BoolOp(table).output):
+        if not closed_oracle(tuples, truth_fn(BoolOp(table))):
             return tuple(values)
     return None
 
@@ -444,7 +446,7 @@ def test_closure_postconditions_random():
         assert set(again.row_values) == set(c.row_values)
         # matches the independent fixed point
         assert set(matrix_tuples(c)) == closure_oracle(
-            matrix_tuples(gens), op.output
+            matrix_tuples(gens), truth_fn(op)
         )
 
 
@@ -528,6 +530,27 @@ def test_counterexample_identity_small():
         assert not stats.frankl_holds
     with pytest.raises(ParameterOutOfRange):
         counterexample_identity(0)
+
+
+def test_counterexamples_check_the_width_cap_before_building_rows():
+    # The widest allowed builds; one column more is rejected before any
+    # row exists, so n = 20000 (about 25 MB of rows) peaks well under 1 MB.
+    assert counterexample_identity(64).width == 64
+    assert counterexample_block(63, 1).width == 64
+    for build, width in (
+        (lambda: counterexample_identity(65), 65),
+        (lambda: counterexample_block(64, 1), 65),
+        (lambda: counterexample_identity(20000), 20000),
+        (lambda: counterexample_block(20000, 1), 20001),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(WidthCapExceeded, match=f"^width {width} exceeds cap 64$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (width, peak)
 
 
 def test_counterexample_block_five_two_instance():

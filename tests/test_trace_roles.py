@@ -8,7 +8,7 @@ error. This keeps such a rename from going unnoticed.
 import importlib.util
 from pathlib import Path
 
-from closurelab import CampaignConfig, run_campaign
+from closurelab import CampaignConfig, enumeration, run_campaign
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -32,3 +32,9 @@ def test_every_trace_role_is_attached():
     for role in ("enumeration.chunk", "enumeration.classify", "enumeration.theorem.topology",
                  "enumeration.theorem.complement_count_flip", "witnesses.gate"):
         assert metrics[f"{role}.calls"]["value"] > 0, role
+
+
+def test_tracer_times_every_theorem_row():
+    # The tracer lists the theorem names it times; a row it does not list
+    # would go untimed without an error.
+    assert set(load_tracer().THEOREM_NAMES) == set(enumeration.THEOREM_NAMES)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -9,33 +10,27 @@ from closurelab import (
     NEGATION,
     NOR,
     OR,
+    THEOREMS,
     XNOR,
     XOR,
+    Basis,
     BinaryMatrix,
-    BoolOp,
     FranklWitness,
     SetFamily,
     closure,
     column_sum,
     compute_basis,
-    conditional_witness,
     decompose,
-    group_witness,
-    imp_implies_or_closed,
     is_closed,
-    negation_witness,
     op_name,
     parse_family,
     parse_matrix,
-    parse_op,
-    sheffer_reduction,
     tilde_matrix,
     tilde_op,
-    topology_witness,
 )
 from closurelab import witnesses
 from closurelab.errors import AllEmpty, PreconditionViolated, VerificationFailed
-from closurelab.witnesses import THEOREMS, MatrixViews, _minimal_member, _topology_core
+from closurelab.witnesses import MatrixViews, _minimal_member, _topology_core
 
 from conftest import (
     SEMANTICS,
@@ -70,14 +65,14 @@ def test_frankl_witness_invariant():
 
 def test_negation_witness_pair():
     m = parse_matrix("01\n10\n")
-    w = negation_witness(m)
+    w = THEOREMS["negation_lemma"].witness(m)
     assert (w.column, w.ones, w.total_rows) == (1, 1, 2)
     recount(m, w)
 
 
 def test_negation_witness_full_pairing():
     m = parse_matrix("00\n11\n01\n10\n")
-    w = negation_witness(m)
+    w = THEOREMS["negation_lemma"].witness(m)
     recount(m, w)
     for j in (1, 2):
         assert column_sum(m, j) == 2
@@ -85,7 +80,7 @@ def test_negation_witness_full_pairing():
 
 def test_negation_witness_precondition():
     with pytest.raises(PreconditionViolated):
-        negation_witness(parse_matrix("10\n11\n"))
+        THEOREMS["negation_lemma"].witness(parse_matrix("10\n11\n"))
 
 
 def test_negation_core_reports_the_first_column_off_half(monkeypatch):
@@ -94,11 +89,11 @@ def test_negation_core_reports_the_first_column_off_half(monkeypatch):
     m = parse_matrix("000\n111\n010\n101\n")
     monkeypatch.setattr(witnesses, "column_sums", lambda width, values: [2, 1, 3])
     with pytest.raises(VerificationFailed, match="^column 2 does not hold exactly half"):
-        negation_witness(m)
+        THEOREMS["negation_lemma"].witness(m)
     monkeypatch.undo()
     monkeypatch.setattr(witnesses, "column_sum", lambda matrix, column: 0)
     with pytest.raises(VerificationFailed, match="^column 1 recount gave 0 ones"):
-        negation_witness(m)
+        THEOREMS["negation_lemma"].witness(m)
 
 
 def test_negation_core_rejects_rows_that_are_not_their_complements():
@@ -126,7 +121,7 @@ def test_negation_closed_families_exhaustive():
             assert n % 2 == 0
             for j in range(1, width + 1):
                 assert 2 * column_count_oracle(tuples, j) == n
-            recount(m, negation_witness(m))
+            recount(m, THEOREMS["negation_lemma"].witness(m))
         assert seen == (1 << (1 << (width - 1))) - 1  # nonempty sets of pairs
 
 
@@ -134,20 +129,19 @@ def test_sheffer_not_closed_pair():
     m = parse_matrix("01\n10\n")
     assert not is_closed(m, NAND)  # 01 nand 10 = 11 is absent
     with pytest.raises(PreconditionViolated):
-        sheffer_reduction(m, NAND)
+        THEOREMS["nand_reduction"].witness(m)
 
 
 def test_sheffer_closure_of_single_row():
     c = closure(parse_matrix("01\n"), NAND)
     assert set(row_texts(c)) == {"01", "10", "11", "00"}
-    w = sheffer_reduction(c, NAND)
+    w = THEOREMS["nand_reduction"].witness(c)
     assert (w.ones, w.total_rows) == (2, 4)
     recount(c, w)
 
 
-def test_sheffer_rejects_other_ops():
-    with pytest.raises(ValueError):
-        sheffer_reduction(parse_matrix("01\n10\n"), AND)
+#: The theorem row of each Sheffer operator.
+REDUCTION = {NAND: "nand_reduction", NOR: "nor_reduction"}
 
 
 def test_sheffer_closed_implies_negation_closed():
@@ -158,18 +152,18 @@ def test_sheffer_closed_implies_negation_closed():
             for op in (NAND, NOR):
                 if is_closed(m, op):
                     assert neg_closed_oracle(matrix_tuples(m))
-                    recount(m, sheffer_reduction(m, op))
+                    recount(m, THEOREMS[REDUCTION[op]].witness(m))
     rng = random.Random(61)
     for _ in range(40):
         op = (NAND, NOR)[rng.randrange(2)]
         m = random_closure(rng.randint(2, 6), op, rng.randint(1, 2), rng)
         assert is_closed(m, NEGATION)
-        recount(m, sheffer_reduction(m, op))
+        recount(m, THEOREMS[REDUCTION[op]].witness(m))
 
 
 def test_group_witness_xor_span():
     m = parse_matrix("000\n110\n011\n101\n")
-    w = group_witness(m, XOR)
+    w = THEOREMS["xor_group"].witness(m)
     assert w.ones == 2 and w.total_rows == 4
     recount(m, w)
     for j in (1, 2, 3):
@@ -179,29 +173,15 @@ def test_group_witness_xor_span():
 def test_group_witness_single_all_ones():
     m = parse_matrix("111\n")
     assert is_closed(m, XNOR)
-    w = group_witness(m, XNOR)
+    w = THEOREMS["xnor_group"].witness(m)
     assert (w.ones, w.total_rows) == (1, 1)
 
 
 def test_group_witness_preconditions():
     with pytest.raises(PreconditionViolated):
-        group_witness(parse_matrix("110\n011\n"), XOR)  # 110^011=101 absent
+        THEOREMS["xor_group"].witness(parse_matrix("110\n011\n"))  # 110^011=101 absent
     with pytest.raises(PreconditionViolated):
-        group_witness(parse_matrix("00\n"), XOR)  # zero matrix is not a space
-    with pytest.raises(ValueError):
-        group_witness(parse_matrix("00\n"), AND)
-
-
-def test_group_witness_accepts_an_equal_operator():
-    # Operators are equal by truth table: a fresh BoolOp(6) is XOR, 9 is XNOR.
-    xor_space = parse_matrix("000\n011\n101\n110\n")
-    xnor_space = parse_matrix("111\n100\n010\n001\n")
-    for op, m, named in (
-        (BoolOp(6), xor_space, XOR),
-        (parse_op("tt:6"), xor_space, XOR),
-        (BoolOp(9), xnor_space, XNOR),
-    ):
-        assert group_witness(m, op) == group_witness(m, named)
+        THEOREMS["xor_group"].witness(parse_matrix("00\n"))  # zero matrix is not a space
 
 
 def test_xor_closed_contains_zero_row():
@@ -210,7 +190,7 @@ def test_xor_closed_contains_zero_row():
         m = random_closure(rng.randint(1, 6), XOR, rng.randint(1, 3), rng)
         assert 0 in m.row_values
         if m.non_zero:
-            recount(m, group_witness(m, XOR))
+            recount(m, THEOREMS["xor_group"].witness(m))
 
 
 def test_xnor_closed_contains_ones_row_and_tilde_is_xor_closed():
@@ -220,7 +200,7 @@ def test_xnor_closed_contains_ones_row_and_tilde_is_xor_closed():
         m = random_closure(rng.randint(1, 6), XNOR, rng.randint(1, 3), rng)
         assert (1 << m.width) - 1 in m.row_values
         assert is_closed(tilde_matrix(m), XOR)
-        recount(m, group_witness(m, XNOR))
+        recount(m, THEOREMS["xnor_group"].witness(m))
 
 
 def family(width: int, sets) -> SetFamily:
@@ -239,14 +219,14 @@ def topology_recount(f: SetFamily, element: int):
 
 def test_topology_witness_chain():
     f = family(2, [(), (1,), (1, 2)])
-    element = topology_witness(f)
+    element = THEOREMS["topology"].witness(f).column
     assert element == 1
     assert topology_recount(f, element) == 2
 
 
 def test_topology_witness_disjoint_minimal():
     f = family(3, [(1, 2), (3,), (1, 2, 3)])
-    element = topology_witness(f)
+    element = THEOREMS["topology"].witness(f).column
     assert element == 3
     assert topology_recount(f, element) == 2
 
@@ -256,18 +236,18 @@ def test_topology_witness_on_closed_example_family():
     closed = close_sets_oracle(base)
     ordered = sorted(closed, key=lambda s: (len(s), tuple(sorted(s))))
     f = family(4, [tuple(sorted(s)) for s in ordered])
-    element = topology_witness(f)
+    element = THEOREMS["topology"].witness(f).column
     topology_recount(f, element)
 
 
 def test_topology_witness_preconditions():
     with pytest.raises(PreconditionViolated):
-        topology_witness(family(3, [(1,), (2,)]))  # union absent
+        THEOREMS["topology"].witness(family(3, [(1,), (2,)]))  # union absent
     with pytest.raises(PreconditionViolated):
         # intersection {2} missing while nonempty
-        topology_witness(family(3, [(1, 2), (2, 3), (1, 2, 3)]))
+        THEOREMS["topology"].witness(family(3, [(1, 2), (2, 3), (1, 2, 3)]))
     with pytest.raises(AllEmpty):
-        topology_witness(family(3, [()]))
+        THEOREMS["topology"].witness(family(3, [()]))
 
 
 def test_topology_witness_random_lattices():
@@ -283,7 +263,7 @@ def test_topology_witness_random_lattices():
         if all(not s for s in closed):
             continue
         f = family(width, [tuple(sorted(s)) for s in sorted(closed, key=sorted)])
-        element = topology_witness(f)
+        element = THEOREMS["topology"].witness(f).column
         topology_recount(f, element)
 
 
@@ -318,7 +298,8 @@ def test_topology_core_matches_the_member_rule():
     for m in and_or_closed_families():
         assert is_closed(m, AND) and is_closed(m, OR)
         element, count = topology_member_rule(m)
-        assert _topology_core(MatrixViews(m)).column == topology_witness(m) == element, m
+        w = THEOREMS["topology"].witness(m)
+        assert w == _topology_core(MatrixViews(m)) and w.column == element, m
         assert column_sum(m, element) == count
         sizes = sorted(v.bit_count() for v in m.row_values if v)
         ties += len(sizes) > 1 and sizes[0] == sizes[1]
@@ -365,7 +346,7 @@ def topology_reference(f: SetFamily):
                 raise PreconditionViolated("family is not closed under nonempty intersection")
     if not any(sets):
         raise AllEmpty("every member is the empty set; no element exists")
-    return _topology_core(MatrixViews(f)).column
+    return _topology_core(MatrixViews(f))
 
 
 def outcome(fn, f):
@@ -417,14 +398,14 @@ def test_topology_gate_matches_pair_loop(families):
     kinds = set()
     for f in families():
         expected = outcome(topology_reference, f)
-        assert outcome(topology_witness, f) == expected, f.row_values
+        assert outcome(THEOREMS["topology"].witness, f) == expected, f.row_values
         kinds.add(expected[1] if isinstance(expected, tuple) else "element")
     assert len(kinds) == 4, kinds  # both messages, all-empty and a witness
 
 
 def test_conditional_witness_two_row_space():
     m = parse_matrix("10\n11\n")
-    w = conditional_witness(m)
+    w = THEOREMS["material_conditional"].witness(m)
     # v1 = 01 in the complemented rows, so the witness is column 2 with
     # a single one out of two rows.
     assert (w.column, w.ones, w.total_rows) == (2, 1, 2)
@@ -435,7 +416,7 @@ def test_conditional_witness_full_cube():
     for width in (1, 2, 3, 4):
         m = BinaryMatrix.from_values(width, range(1 << width))
         assert is_closed(m, IMP)
-        w = conditional_witness(m)
+        w = THEOREMS["material_conditional"].witness(m)
         recount(m, w)
         for j in range(1, width + 1):
             assert column_sum(m, j) == 1 << (width - 1)
@@ -443,7 +424,7 @@ def test_conditional_witness_full_cube():
 
 def test_conditional_witness_single_ones_row():
     m = parse_matrix("111\n")
-    w = conditional_witness(m)
+    w = THEOREMS["material_conditional"].witness(m)
     assert (w.ones, w.total_rows) == (1, 1)
 
 
@@ -461,7 +442,7 @@ def test_conditional_split_matches_decompose():
         split += 1
         users = [row for row in tilde.row_values if 1 in decompose(row, basis)]
         column = f"{basis.vectors[0]:0{m.width}b}".index("1") + 1
-        w = conditional_witness(m)
+        w = THEOREMS["material_conditional"].witness(m)
         assert (w.column, w.ones, w.total_rows) == (column, m.n_rows - len(users), m.n_rows)
     assert split > 40
 
@@ -471,12 +452,12 @@ def test_imp_closed_contains_all_ones_row():
     for _ in range(40):
         m = random_closure(rng.randint(1, 7), IMP, rng.randint(1, 3), rng)
         assert (1 << m.width) - 1 in m.row_values
-        recount(m, conditional_witness(m))
+        recount(m, THEOREMS["material_conditional"].witness(m))
 
 
 def test_conditional_witness_precondition():
     with pytest.raises(PreconditionViolated):
-        conditional_witness(parse_matrix(EXAMPLE1))
+        THEOREMS["material_conditional"].witness(parse_matrix(EXAMPLE1))
 
 
 @pytest.mark.parametrize("wrong", ["zero", "all"])
@@ -494,27 +475,27 @@ def test_exact_count_checks_fail_on_a_wrong_count(monkeypatch, wrong):
 
     monkeypatch.setattr(witnesses, "column_sum", miscount)
     with pytest.raises(VerificationFailed, match="^element 1 recount gave [04] of 4$"):
-        topology_witness(chain)
+        THEOREMS["topology"].witness(chain)
     with pytest.raises(VerificationFailed, match="^count flip between matrix and complement"):
-        conditional_witness(space)
+        THEOREMS["material_conditional"].witness(space)
 
 
 def test_imp_implies_or_closed():
-    assert imp_implies_or_closed(parse_matrix("10\n11\n"))
+    assert THEOREMS["imp_implies_or"].witness(parse_matrix("10\n11\n"))
     for width in (1, 2, 3):
         cube = BinaryMatrix.from_values(width, range(1 << width))
-        assert imp_implies_or_closed(cube)
+        assert THEOREMS["imp_implies_or"].witness(cube)
     rng = random.Random(89)
     for _ in range(100):
         m = random_closure(rng.randint(1, 7), IMP, rng.randint(1, 3), rng)
-        assert imp_implies_or_closed(m)
+        assert THEOREMS["imp_implies_or"].witness(m)
         assert is_closed(m, OR)
     with pytest.raises(PreconditionViolated):
-        imp_implies_or_closed(parse_matrix("10\n01\n"))
+        THEOREMS["imp_implies_or"].witness(parse_matrix("10\n01\n"))
 
 
 def meets_gate_hypothesis(theorem, m) -> bool:
-    """The hypothesis a public witness's gate demands, by the tuple oracles."""
+    """The hypothesis a theorem's witness(m) gate demands, by the tuple oracles."""
     if theorem.verb == "topology":
         sets = members(m)
         return close_sets_oracle(sets) == set(sets)
@@ -529,7 +510,7 @@ def theorem_id(theorem) -> str:
     return theorem.verb or theorem.name
 
 
-@pytest.mark.parametrize("theorem", THEOREMS, ids=theorem_id)
+@pytest.mark.parametrize("theorem", THEOREMS.values(), ids=theorem_id)
 def test_gated_witness_matches_its_core(theorem):
     # Every non-zero width-3 family that meets the gate's hypothesis: the
     # gated witness (gate then core) and the core give one result.
@@ -564,7 +545,7 @@ GATE_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("theorem", THEOREMS, ids=theorem_id)
+@pytest.mark.parametrize("theorem", THEOREMS.values(), ids=theorem_id)
 def test_gated_witness_still_rejects_a_failed_hypothesis(theorem):
     for text, message in GATE_FAILURES[theorem_id(theorem)]:
         m = parse_matrix(text)
@@ -572,3 +553,34 @@ def test_gated_witness_still_rejects_a_failed_hypothesis(theorem):
             theorem.witness(m)
         assert str(exc.value) == message
 
+
+
+#: (theorem, rows, whether compute_basis is patched, message) of a core
+#: step that fails alone when the core is called off its hypothesis. The
+#: patched basis holds one vector, 110, that no row need be made of.
+CORE_FAILURES = [
+    ("xor_group", "01\n10\n", False, "identity element missing from a closed row set"),
+    ("xnor_group", "01\n10\n", False, "identity element missing from a closed row set"),
+    ("xor_group", "00\n01\n10\n", False,
+     "no column reaches half the rows in a group-closed set"),
+    ("topology", "110\n011\n", False, "a member neither contains nor misses the minimal set"),
+    ("topology", "100\n010\n", False,
+     "join map is not an injection into the containing members"),
+    ("material_conditional", "10\n01\n00\n", False,
+     "stripping v1 is not an injection into the non-users"),
+    ("material_conditional", "100\n", True, "first basis vector is not used by any row"),
+    ("material_conditional", "001\n111\n011\n", True,
+     "tilde column count disagrees with the v1-user count"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, rows, patched, message",
+    CORE_FAILURES,
+    ids=[f"{name}-{'-'.join(message.split()[:2])}" for name, _, _, message in CORE_FAILURES],
+)
+def test_every_core_verification_step_can_fire(monkeypatch, name, rows, patched, message):
+    if patched:
+        monkeypatch.setattr(witnesses, "compute_basis", lambda m: Basis(3, (0b110,)))
+    with pytest.raises(VerificationFailed, match=f"^{re.escape(message)}$"):
+        THEOREMS[name].core(MatrixViews(parse_matrix(rows)))
