@@ -186,7 +186,10 @@ def column_sums(width: int, values: Sequence[int]) -> list[int]:
 
 
 def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # Lines end at "\n", "\r\n" or "\r" only; str.splitlines would also
+    # break at "\f", "\v", "\x1c"-"\x1e", "\x85", U+2028 and U+2029.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

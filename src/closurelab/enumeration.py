@@ -13,7 +13,9 @@ results through the same checks. That classification (also behind
 table operators.CLONE and checks only the tables nothing already
 decides. Campaign output is deterministic for a given config and seed,
 independent of the worker count: the family space is split into fixed
-chunks and partial results are merged in chunk order.
+chunks, and each chunk returns flat counts (families per closure mask,
+check runs per name and outcome) and its failures. _merge alone sums
+them in chunk order and shapes the summary.
 """
 
 from __future__ import annotations
@@ -233,8 +235,10 @@ def _theorem_runs(
     OR-closed family, the half-membership check FRANKL_CHECK.
 
     A runner returns a truthy certificate or True on success; it raises
-    a package error (or returns False) on failure. Hypotheses follow the
-    statements exactly: closure under the named operator(s), read from
+    a package error (or returns False) on failure. A chunk (_run_chunk)
+    counts each run under (name, passed); only _merge files those counts
+    into the summary, FRANKL_CHECK's under "frankl". Hypotheses follow
+    the statements exactly: closure under the named operator(s), read from
     the 16-bit closure mask closed (negation is bit 3), and a non-zero
     matrix. Both are known here, so runners call the proof cores, which
     do not prove the hypothesis again. They share one MatrixViews record,
@@ -313,73 +317,63 @@ def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int]]:
 # --- campaign ----------------------------------------------------------------
 
 
-def _new_aggregate() -> dict:
-    """Counts in the summary's own shape, plus the failures to dump."""
+def _run_chunk(args: tuple) -> tuple[dict[int, int], dict[tuple[str, bool], int], list[tuple]]:
+    """One chunk's flat counts: families per 16-bit closure mask, check
+    runs per (name, passed), and the failures as (ref, name, message,
+    width, rows) in family order. A runner that raises a package error
+    has failed with its message."""
+    width = args[1]
+    masks: dict[int, int] = {}
+    runs: dict[tuple[str, bool], int] = {}
+    failures = []
+    for ref, values, closed in _chunk_families(args):
+        masks[closed] = masks.get(closed, 0) + 1
+        for name, runner in _theorem_runs(width, values, closed):
+            try:
+                ok = bool(runner())
+                message = "" if ok else "check returned false"
+            except ClosureLabError as exc:
+                ok = False
+                message = str(exc)
+            runs[name, ok] = runs.get((name, ok), 0) + 1
+            if not ok:
+                failures.append((ref, name, message, width, list(values)))
+    return masks, runs, failures
+
+
+def _merge(parts: list[tuple]) -> dict:
+    """Sum the chunks' flat counts and shape them, the one place that
+    knows the summary's shape: every counted closure and every
+    THEOREM_NAMES entry (zeros included), the FRANKL_CHECK runs under
+    "frankl", and the failures to dump, joined in chunk order."""
+    masks: dict[int, int] = {}
+    runs: dict[tuple[str, bool], int] = {}
+    failures = []
+    for chunk_masks, chunk_runs, chunk_failures in parts:
+        for mask, count in chunk_masks.items():
+            masks[mask] = masks.get(mask, 0) + count
+        for key, count in chunk_runs.items():
+            runs[key] = runs.get(key, 0) + count
+        failures += chunk_failures
+
+    def tally(name: str) -> tuple[int, int]:
+        return runs.get((name, True), 0), runs.get((name, False), 0)
+
+    theorems = {}
+    for name in THEOREM_NAMES:
+        passed, failed = tally(name)
+        theorems[name] = {"applicable": passed + failed, "passed": passed, "failed": failed}
+    passed, failed = tally(FRANKL_CHECK)
     return {
-        "families": 0,
-        "closed_under": {name: 0 for _, name in _CLOSED_NAMES},
-        "theorems": {
-            name: {"applicable": 0, "passed": 0, "failed": 0} for name in THEOREM_NAMES
+        "families": sum(masks.values()),
+        "closed_under": {
+            name: sum(count for mask, count in masks.items() if mask >> bit & 1)
+            for bit, name in _CLOSED_NAMES
         },
-        "frankl": {"or_closed_nonzero": 0, "failures": 0},
-        "failures": [],
+        "theorems": theorems,
+        "frankl": {"or_closed_nonzero": passed + failed, "failures": failed},
+        "failures": failures,
     }
-
-
-def _check_family(
-    width: int,
-    ref: str,
-    values: tuple[int, ...],
-    closed: int,
-    agg: dict,
-) -> None:
-    agg["families"] += 1
-    closed_under = agg["closed_under"]
-    for bit, name in _CLOSED_NAMES:
-        if closed >> bit & 1:
-            closed_under[name] += 1
-
-    for name, runner in _theorem_runs(width, values, closed):
-        try:
-            ok = bool(runner())
-            message = "" if ok else "check returned false"
-        except ClosureLabError as exc:
-            ok = False
-            message = str(exc)
-        if name == FRANKL_CHECK:
-            frankl = agg["frankl"]
-            frankl["or_closed_nonzero"] += 1
-            frankl["failures"] += not ok
-        else:
-            counts = agg["theorems"][name]
-            counts["applicable"] += 1
-            counts["passed" if ok else "failed"] += 1
-        if not ok:
-            agg["failures"].append((ref, name, message, width, list(values)))
-
-
-def _run_chunk(args: tuple) -> dict:
-    agg = _new_aggregate()
-    for ref, rows, closed in _chunk_families(args):
-        _check_family(args[1], ref, rows, closed, agg)
-    return agg
-
-
-def _merge(aggs: list[dict]) -> dict:
-    """Sum chunk aggregates key by key, in chunk order: counts add and
-    failure lists concatenate."""
-
-    def add(total: dict, part: dict) -> None:
-        for key, value in part.items():
-            if isinstance(value, dict):
-                add(total[key], value)
-            else:
-                total[key] += value
-
-    total = _new_aggregate()
-    for agg in aggs:
-        add(total, agg)
-    return total
 
 
 def _chunk_args(cfg: CampaignConfig) -> list[tuple]:

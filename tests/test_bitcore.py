@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,13 @@ def test_fam_parse_takes_ascii_decimal_digits_only(text, message):
     assert str(exc.value) == f"bad.fam:{message}"
 
 
+def test_family_with_no_content_names_no_line():
+    for text in ("", "# c\n\n"):
+        with pytest.raises(ParseError) as exc:
+            parse_family(text, "e.fam")
+        assert str(exc.value) == "e.fam:0: no family content found"
+
+
 def test_parse_any_detects_format():
     assert isinstance(parse_any("ground 2\n1\n"), SetFamily)
     assert isinstance(parse_any("# c\n10\n"), BinaryMatrix)
@@ -322,10 +330,12 @@ def test_column_sums_of_a_large_width_16_matrix():
 
 
 def _reference_parse_matrix(text, source="<input>"):
-    """The one-line-at-a-time ".bm" parser that parse_matrix replaces."""
+    """The one-line-at-a-time ".bm" parser that parse_matrix replaces.
+    Lines end at "\n", "\r\n" or "\r" alone, as in the ".bm" format."""
     seen = {}
     width = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines = re.split(r"\r\n|\r|\n", text)
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -434,6 +444,10 @@ def test_parse_matrix_matches_the_per_line_reference_on_corruptions():
         "\n\n",
         "# nothing\n  # here\n",
         "01\x0b10\n",
+        "01\x0c10\n",
+        "01\x8510\n",
+        "01\r10\r",
+        "01\r\n10\r11\n",
         "01 10\n",
     ],
 )

@@ -318,6 +318,58 @@ def test_non_decimal_family_element_exit_and_line(tmp_path):
     assert result.output == f"error: {path}:2: element '1_0' is not an integer\n"
 
 
+def test_only_newline_cr_and_crlf_end_a_line(tmp_path):
+    # A form feed is not a line break: the row holding it is bad on its
+    # own line, and a later line keeps its own number.
+    for name, text, message in (
+        ("ff.bm", "01\f10\n", "1: invalid row character in '01\\x0c10'"),
+        ("ff.fam", "ground 3\n1\f2\n4\n", "3: element 4 outside [1, 3]"),
+    ):
+        path = write(tmp_path, name, text)
+        result = invoke("psi", path)
+        assert (result.exit_code, result.output) == (2, f"error: {path}:{message}\n")
+    for name, text in (("crlf.bm", "01\r\n10\r\n"), ("cr.bm", "01\r10\r"), ("mixed.bm", "01\r\n10\r11\n")):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        result = invoke("convert", str(path), "--to", "bm")
+        assert result.exit_code == 0, name
+        assert result.output == text.replace("\r\n", "\n").replace("\r", "\n"), name
+
+
+def test_check_closure_one_op_as_text(tmp_path):
+    path = write(tmp_path, "ex1.bm", EXAMPLE1_BM)
+    closed = invoke("check-closure", path, "--op", "or", "--format", "text")
+    assert (closed.exit_code, closed.output) == (0, "or: closed\n")
+    not_closed = invoke("check-closure", path, "--op", "xor", "--format", "text")
+    assert (not_closed.exit_code, not_closed.output) == (1, "xor: not closed\n")
+
+
+def test_witness_as_text(tmp_path):
+    path = write(tmp_path, "m.bm", "10\n11\n")
+    result = invoke("witness", "imp", path, "--format", "text")
+    assert result.exit_code == 0
+    assert result.output == (
+        "column_or_element: 2\nn: 2\nones: 1\noperator: imp\nverified: True\n"
+    )
+
+
+def test_ground_in_a_comment_alone_reads_as_a_matrix(tmp_path):
+    path = write(tmp_path, "c.bm", "# ground rules\n01\n10\n")
+    result = invoke("convert", path)
+    assert (result.exit_code, result.output) == (0, "ground 2\n2\n1\n")
+
+
+def test_ground_over_the_width_cap_exits_2(tmp_path):
+    path = write(tmp_path, "g65.fam", "ground 65\n1\n")
+    result = invoke("psi", path)
+    assert (result.exit_code, result.output) == (2, f"error: {path}:1: ground size 65 exceeds cap 64\n")
+
+
+def test_campaign_without_generators_exits_2():
+    result = invoke("campaign", "--width", "2", "--mode", "random", "--seed", "1", "--generators", "0")
+    assert (result.exit_code, result.output) == (2, "error: generator_count must be >= 1\n")
+
+
 # Each verb, its arguments ("INPUT" is a .bm file) and the name in the
 # cli module of the function it calls.
 _VERB_CALLS = {

@@ -40,6 +40,7 @@ from closurelab.enumeration import (
 from closurelab.errors import (
     BasisVerificationFailed,
     CampaignFailure,
+    ClosureLabError,
     ParameterOutOfRange,
     PreconditionViolated,
     WidthCapExceeded,
@@ -306,6 +307,12 @@ def test_config_validation():
         CampaignConfig(width=3, mode="exhaustive", parallelism=0)
     with pytest.raises(ParameterOutOfRange):
         CampaignConfig(width=3, mode="random", seed=1, sample_count=0)
+
+
+def test_config_rejects_a_random_campaign_without_generators():
+    with pytest.raises(ParameterOutOfRange) as exc:
+        CampaignConfig(width=3, mode="random", seed=1, generator_count=0)
+    assert str(exc.value) == "generator_count must be >= 1"
 
 
 def test_summary_json_shape():
@@ -638,3 +645,77 @@ def test_pool_workers_are_clamped_to_the_chunk_count(monkeypatch):
     single = run_campaign(CampaignConfig(**one, parallelism=4))
     assert requested == [15]
     assert single.to_json() == run_campaign(CampaignConfig(**one)).to_json()
+
+
+def test_failing_campaign_dumps_the_same_reproducers_through_the_pool(tmp_path, monkeypatch):
+    # Chunks cross the pool as flat counts and failure tuples; a failing
+    # campaign must dump the same files, in the same order, either way.
+    # Forked workers inherit the broken step.
+    owner, attribute, replacement = BROKEN_STEPS["complement_count_flip"]
+    monkeypatch.setattr(owner, attribute, replacement)
+    fork = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", fork)
+    dumped = {}
+    for jobs in (2, 1):
+        dump_dir = tmp_path / f"jobs{jobs}"
+        with pytest.raises(CampaignFailure) as exc:
+            run_campaign(CampaignConfig(width=2, mode="exhaustive", parallelism=jobs), dump_dir)
+        paths = [Path(p) for p in exc.value.reproducers]
+        assert all(p.parent == dump_dir for p in paths)
+        dumped[jobs] = [(p.name, p.read_bytes()) for p in paths]
+    assert dumped[2] and dumped[2] == dumped[1]
+    assert {name for name, _ in dumped[1]} == {p.name for p in (tmp_path / "jobs1").iterdir()}
+
+
+def recount(cfg):
+    """The summary counts and the failure tuples of cfg, recounted one
+    family and one run at a time from the family stream, without
+    _run_chunk or _merge."""
+    closed_under = {name: 0 for _, name in enumeration._CLOSED_NAMES}
+    theorems = {name: {"applicable": 0, "passed": 0, "failed": 0} for name in THEOREM_NAMES}
+    frankl = {"or_closed_nonzero": 0, "failures": 0}
+    failures = []
+    family_count = 0
+    for ref, values, closed in families(cfg):
+        family_count += 1
+        for bit, name in enumeration._CLOSED_NAMES:
+            closed_under[name] += closed >> bit & 1
+        for name, runner in _theorem_runs(cfg.width, values, closed):
+            try:
+                ok, message = bool(runner()), "check returned false"
+            except ClosureLabError as exc:
+                ok, message = False, str(exc)
+            if name == FRANKL_CHECK:
+                frankl["or_closed_nonzero"] += 1
+                frankl["failures"] += not ok
+            else:
+                theorems[name]["applicable"] += 1
+                theorems[name]["passed" if ok else "failed"] += 1
+            if not ok:
+                failures.append((ref, name, message, cfg.width, list(values)))
+    counts = {"families": family_count, "closed_under": closed_under, "theorems": theorems,
+              "frankl": frankl}
+    return counts, failures
+
+
+RECOUNT_CONFIGS = [
+    *(CampaignConfig(width=w, mode="exhaustive") for w in (1, 2, 3)),
+    CampaignConfig(width=5, mode="random", sample_count=40, seed=7),
+]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["intact", "broken_frankl"])
+@pytest.mark.parametrize("cfg", RECOUNT_CONFIGS, ids=lambda c: f"{c.mode}_w{c.width}")
+def test_merge_matches_a_family_by_family_recount(cfg, broken, monkeypatch):
+    if broken:
+        owner, attribute, replacement = BROKEN_STEPS[FRANKL_CHECK]
+        monkeypatch.setattr(owner, attribute, replacement)
+    counts = _merge([_run_chunk(c) for c in _chunk_args(cfg)])
+    failures = counts.pop("failures")
+    expected, expected_failures = recount(cfg)
+    assert counts == expected
+    # The failures come in chunk order, each chunk's in family order.
+    assert failures == expected_failures
+    assert bool(failures) == broken
+    if broken:
+        assert counts["frankl"]["failures"] == counts["frankl"]["or_closed_nonzero"] > 0
