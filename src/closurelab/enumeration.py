@@ -2,20 +2,22 @@
 
 Exhaustive mode walks every nonempty set of distinct width-m rows
 (encoded as a 2**m-bit integer, one bit per possible row), classifies
-each under all sixteen binary operators, and runs every theorem whose
-hypothesis holds; a chunk of family codes is classified at once with
-row presence vectors. Negation needs no case of its own: it is truth
-table 3, so a family's classification is one 16-bit mask. Random mode
-draws seeded generator rows, closes them under a drawn operator,
-classifies each family with the affine kernel of spaces, and feeds the
-results through the same checks. That classification (also behind
-`check-closure` without `--op`) reads implied closures from the clone
-table operators.CLONE and checks only the tables nothing already
-decides. Campaign output is deterministic for a given config and seed,
-independent of the worker count: the family space is split into fixed
-chunks, and each chunk returns flat counts (families per closure mask,
-check runs per name and outcome) and its failures. _merge alone sums
-them in chunk order and shapes the summary.
+each under all sixteen binary operators, and runs every check (each a
+witnesses.THEOREMS row) whose hypothesis holds, on a shared record
+unless only the count flip applies (see _theorem_runs); a chunk of
+family codes is classified at once with row presence vectors. Negation
+needs no case of its own: it is truth table 3, so a family's
+classification is one 16-bit mask. Random mode draws seeded generator
+rows, closes them under a drawn operator, classifies each family with
+the affine kernel of spaces, and feeds the results through the same
+checks. That classification (also behind `check-closure` without `--op`)
+reads implied closures from the clone table operators.CLONE and checks
+only the tables nothing already decides. Campaign output is
+deterministic for a given config and seed, independent of the worker
+count: the family space is split into fixed chunks, and each chunk
+returns flat counts (families per closure mask, check runs per name and
+outcome) and its failures. _merge alone sums them in chunk order and
+shapes the summary.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .errors import (
     CampaignFailure,
     ClosureLabError,
     ParameterOutOfRange,
-    VerificationFailed,
     WidthCapExceeded,
 )
 from .operators import (
@@ -50,11 +51,10 @@ from .operators import (
     XNOR,
     XOR,
     BoolOp,
-    _complemented,
     op_name,
 )
 from .spaces import _row_tables, closed_under, closure
-from .witnesses import THEOREMS, MatrixViews
+from .witnesses import THEOREMS, MatrixViews, _count_flip_consistent
 
 EXHAUSTIVE_WIDTH_CAP = 4
 RANDOM_WIDTH_CAP = 8
@@ -62,13 +62,13 @@ RANDOM_WIDTH_CAP = 8
 #: Operators a random campaign closes its generators under.
 RANDOM_OPS = (NEGATION, AND, OR, XOR, XNOR, NAND, NOR, IMP, ABJ)
 
-#: Proved statements re-checked on every family whose hypothesis holds:
-#: the theorem table, then the count flip every non-zero family gets.
-THEOREM_NAMES = tuple(THEOREMS) + ("complement_count_flip",)
-
 #: The half-membership check of every non-zero OR-closed family, counted
 #: under "frankl" in the summary rather than with the theorems.
 FRANKL_CHECK = "union_closed_frankl"
+
+#: The checks counted under "theorems" in the summary: every table row
+#: but the half check.
+THEOREM_NAMES = tuple(name for name in THEOREMS if name != FRANKL_CHECK)
 
 #: Each table row with its hypothesis as bits of the 16-bit closure mask.
 _HYPOTHESIS_MASKS = tuple(
@@ -210,29 +210,12 @@ def _neg_closed(width: int, values: tuple[int, ...]) -> bool:
     return all(v ^ mask in present for v in values)
 
 
-def _count_flip_consistent(width: int, values: tuple[int, ...], sums: list[int]) -> bool:
-    """Each column's ones count in the complemented rows is n minus its
-    count in the rows (sums, column 1 first), counted from the
-    complemented rows themselves."""
-    n = len(values)
-    flipped = column_sums(width, _complemented(width, values))
-    return all(f == n - s for s, f in zip(sums, flipped))
-
-
-def _half_column(views: MatrixViews) -> bool:
-    """Union-closed half membership: some column holds ones in at least
-    half the rows, read from the record's column sums."""
-    if 2 * max(views.sums) < views.m.n_rows:
-        raise VerificationFailed("no column reaches half the rows")
-    return True
-
-
 def _theorem_runs(
     width: int, values: tuple[int, ...], closed: int
 ) -> list[tuple[str, Callable[[], object]]]:
     """Applicable checks for one family, as (name, runner) pairs: the
-    theorem rows whose hypothesis holds, the count flip, and last, for an
-    OR-closed family, the half-membership check FRANKL_CHECK.
+    THEOREMS rows whose hypothesis holds, in table order, so a failure is
+    dumped under the name of the row that reruns it.
 
     A runner returns a truthy certificate or True on success; it raises
     a package error (or returns False) on failure. A chunk (_run_chunk)
@@ -240,36 +223,28 @@ def _theorem_runs(
     into the summary, FRANKL_CHECK's under "frankl". Hypotheses follow
     the statements exactly: closure under the named operator(s), read from
     the 16-bit closure mask closed (negation is bit 3), and a non-zero
-    matrix. Both are known here, so runners call the proof cores, which
-    do not prove the hypothesis again. They share one MatrixViews record,
-    built only when some hypothesis or the OR bit holds and without
-    re-checking the rows (_chunk_families yields them distinct and in
-    range). So the rows are counted in full once (the record's sums, read
-    by the proof scans, the count flip and the half check), complemented
-    and counted once more by the count flip, and complemented as a matrix
-    at most once (the record's tilde, read by the negation and IMP rows).
+    matrix. Both are known here, so runners call the row cores, which do
+    not prove the hypothesis again. They share one MatrixViews record,
+    built without re-checking the rows (_chunk_families yields them
+    distinct and in range). So the rows are counted in full once (the
+    record's sums), complemented and counted once more by the count flip,
+    and complemented as a matrix at most once (the record's tilde).
+
+    A family that only the count flip applies to (60308 of the 65535 at
+    width 4) gets no record: its runner checks the row values directly.
+    Building a record for these too made the width-4 sweep 16% slower.
     """
     if not any(values):
         return []
-    tables = [t for t, mask in _HYPOTHESIS_MASKS if closed & mask == mask]
-    or_closed = closed >> OR.table & 1
-    if not (tables or or_closed):
-        # Checked on (width, values): a matrix per tiny exhaustive family
-        # would cost more than the check itself.
+    rows = [t for t, mask in _HYPOTHESIS_MASKS if closed & mask == mask]
+    if len(rows) == 1:
+        # Only the count flip, whose hypothesis is empty, applies.
         return [
-            ("complement_count_flip",
+            (rows[0].name,
              lambda: _count_flip_consistent(width, values, column_sums(width, values)))
         ]
     views = MatrixViews(_packed_matrix(width, values))
-    runs: list[tuple[str, Callable[[], object]]] = [
-        (t.name, functools.partial(t.core, views)) for t in tables
-    ]
-    runs.append(
-        ("complement_count_flip", lambda: _count_flip_consistent(width, values, views.sums))
-    )
-    if or_closed:
-        runs.append((FRANKL_CHECK, functools.partial(_half_column, views)))
-    return runs
+    return [(t.name, functools.partial(t.core, views)) for t in rows]
 
 
 # --- the family stream ------------------------------------------------------

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitcore import BinaryMatrix
-from .errors import WidthCapExceeded
+from .bitcore import BinaryMatrix, _packed_matrix
+from .errors import ParameterOutOfRange, WidthCapExceeded
 
 #: The canonical search can branch on every column order in its worst
 #: case; widths beyond this are refused rather than silently slow.
@@ -45,8 +45,13 @@ class CanonicalForm:
 def apply_permutations(
     m: BinaryMatrix, row_perm: tuple[int, ...], col_perm: tuple[int, ...]
 ) -> BinaryMatrix:
-    """Reorder rows and columns: position i takes input index perm[i]."""
+    """Reorder rows and columns: position i takes input index perm[i].
+    ParameterOutOfRange names a perm that is not a permutation of the
+    row or column indices; past that check the rows stay distinct."""
     w, values = m.width, m.row_values
+    for name, perm, size in (("row_perm", row_perm, len(values)), ("col_perm", col_perm, w)):
+        if sorted(perm) != list(range(size)):
+            raise ParameterOutOfRange(f"{name} must permute range({size}), got {tuple(perm)}")
     rows = []
     for i in row_perm:
         src = values[i]
@@ -54,7 +59,7 @@ def apply_permutations(
         for c in col_perm:
             value = (value << 1) | ((src >> (w - 1 - c)) & 1)
         rows.append(value)
-    return BinaryMatrix(w, tuple(rows))
+    return _packed_matrix(w, tuple(rows))
 
 
 def canonicalize(m: BinaryMatrix) -> CanonicalForm:

@@ -28,9 +28,6 @@ class BoolOp:
         if not isinstance(self.table, int) or not 0 <= self.table <= 15:
             raise ValueError(f"truth table must be in [0, 15], got {self.table!r}")
 
-    def __str__(self) -> str:
-        return op_name(self)
-
 
 class _Negation:
     """Marker for elementwise unary negation in operator positions.
@@ -42,12 +39,6 @@ class _Negation:
 
     __slots__ = ()
     table = 3
-
-    def __repr__(self) -> str:
-        return "NEGATION"
-
-    def __str__(self) -> str:
-        return "not"
 
 
 #: Unary negation marker, accepted wherever closure checks take an operator.

@@ -6,16 +6,17 @@ a certificate naming a column (or element) whose ones count is at least
 half the rows, re-verified by independent recount before returning.
 A failed hypothesis raises PreconditionViolated; a failed internal step
 raises VerificationFailed and means a bug, since the theorems guarantee
-success on every valid input.
+success on every valid input (the half check excepted: _half_column).
 
-THEOREMS maps each theorem's name to its one row: the name, its
-`closurelab witness` verb, the operators of its hypothesis and its
-core. The private core assumes the hypothesis and runs the proof.
-Theorem.witness is the gate in front of it: closure under each
-hypothesis operator in order, then a non-zero matrix, each raising
-PreconditionViolated when it fails. A campaign reads the same
+THEOREMS maps the name of every check a campaign runs to its one row:
+the name, its `closurelab witness` verb, the operators of its
+hypothesis and its core. The private core assumes the hypothesis and
+runs the proof. Theorem.witness is the gate in front of it: closure
+under each hypothesis operator in order, then a non-zero matrix, each
+raising PreconditionViolated when it fails. A campaign reads the same
 hypothesis from its closure-mask bits and calls the core directly;
-library callers and the `witness` verb call THEOREMS[name].witness(m).
+library callers, the `witness` verb and the rerun of a reproducer's
+`# theorem:` line call THEOREMS[name].witness(m).
 Only the topology row gates on something weaker than its campaign
 hypothesis, and stores that gate on the row.
 
@@ -26,8 +27,11 @@ complemented once, however many rows apply. The three negation rows
 share one complement pairing, and the three IMP rows, which re-trace one
 chain, share one AND check of the complemented rows: those are AND- and
 ABJ-closed, so their basis gives the half-full column, and their AND
-closure is OR closure of the rows. The proof scans read the record's
-column sums; each certificate recounts its one column from the matrix.
+closure is OR closure of the rows. The proof scans, the count flip and
+the half check read the record's column sums; each certificate recounts
+its one column from the matrix. A campaign family that only the count
+flip applies to runs _count_flip_consistent on its rows alone: for
+such a family the record would cost more than the check.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .operators import (
     XOR,
     BoolOp,
     OpLike,
+    _complemented,
     op_name,
     tilde_matrix,
 )
@@ -276,13 +281,32 @@ def _imp_implies_or_core(views: MatrixViews) -> bool:
     return direct
 
 
+def _count_flip_consistent(width: int, values: tuple[int, ...], sums: list[int]) -> bool:
+    """Each column's ones count in the complemented rows is n minus its
+    count in the rows (sums, column 1 first), counted from the
+    complemented rows themselves."""
+    n = len(values)
+    flipped = column_sums(width, _complemented(width, values))
+    return all(f == n - s for s, f in zip(sums, flipped))
+
+
+def _half_column(views: MatrixViews) -> bool:
+    """Union-closed half membership: some column holds ones in at least
+    half the rows, read from the record's column sums. The union-closed
+    (Frankl) conjecture is open in general, so this row failing on a
+    union-closed family would be a counterexample, not a bug."""
+    if 2 * max(views.sums) < views.m.n_rows:
+        raise VerificationFailed("no column reaches half the rows")
+    return True
+
+
 #: How a failed closure gate names an operator, where not by op_name.
 _GATE_NAMES = {NEGATION: "negation", IMP: "the material conditional"}
 
 
 @dataclass(frozen=True, slots=True)
 class Theorem:
-    """One proved statement: rows closed under every hypothesis operator,
+    """One campaign check: rows closed under every hypothesis operator,
     in a non-zero matrix, make the core's check pass. A row with a gate
     runs it in place of the operator checks in witness(m)."""
 
@@ -307,8 +331,9 @@ class Theorem:
         return self.core(MatrixViews(m))
 
 
-#: Each theorem by name, in `closurelab witness` verb order; the campaign
-#: also runs them in this order.
+#: Every campaign check by name, run in this order: the theorems in
+#: `closurelab witness` verb order, the count flip every non-zero family
+#: gets, and the half check of OR-closed families.
 THEOREMS = {
     t.name: t
     for t in (
@@ -326,5 +351,8 @@ THEOREMS = {
         # The campaign hypothesis is AND and OR; witness(m) gates on the
         # weaker union and nonempty-intersection closure of the family.
         Theorem("topology", "topology", (AND, OR), _topology_core, _topology_gate),
+        Theorem("complement_count_flip", None, (),
+                lambda v: _count_flip_consistent(v.m.width, v.m.row_values, v.sums)),
+        Theorem("union_closed_frankl", None, (OR,), _half_column),
     )
 }

@@ -361,11 +361,11 @@ def test_campaign_failure_dumps_reproducer(tmp_path, monkeypatch):
 
 def test_random_reproducer_names_its_operator_and_generators(tmp_path, monkeypatch):
     # Zero column sums fail the count flip on every family but {111}, which
-    # this seed does not draw: a family with a record counts only its
+    # this seed does not draw: a family without a record counts only its
     # complemented rows here. Each random-mode reproducer names its drawn
     # operator and distinct generator rows, and the close verb on those
     # rows prints the reproducer's rows in order.
-    monkeypatch.setattr(enumeration, "column_sums", lambda width, values: [0] * width)
+    monkeypatch.setattr(witnesses, "column_sums", lambda width, values: [0] * width)
     cfg = CampaignConfig(width=3, mode="random", sample_count=40, generator_count=3, seed=5)
     with pytest.raises(CampaignFailure):
         run_campaign(cfg, dump_dir=tmp_path / "random")
@@ -410,8 +410,8 @@ def _no_basis(m):
 def _miscount_complements(width, values):
     # The exhaustive stream yields rows ascending, so complemented rows of a
     # multi-row family come out descending: count one extra one there. The
-    # count flip counts its complemented rows here, and the rows too where
-    # the family has no MatrixViews record.
+    # count flip counts its complemented rows here, and the MatrixViews
+    # record counts the rows here too.
     sums = _REAL_COL_SUMS(width, values)
     return [s + 1 for s in sums] if list(values) != sorted(values) else sums
 
@@ -438,7 +438,7 @@ BROKEN_STEPS = {
     "imp_implies_or": (
         witnesses, "is_closed", lambda m, op: op is not OR and _REAL_IS_CLOSED(m, op)
     ),
-    "complement_count_flip": (enumeration, "column_sums", _miscount_complements),
+    "complement_count_flip": (witnesses, "column_sums", _miscount_complements),
     # The half check reads the record's column sums too.
     FRANKL_CHECK: (witnesses, "column_sums", _zero_sums),
 }
@@ -499,32 +499,48 @@ def test_each_imp_row_fails_alone(theorem, monkeypatch):
         assert counts["theorems"][other]["passed"] > 0, other
 
 
-def imp_closed_families():
-    """(width, values, closed) of every non-zero IMP-closed family at
-    widths 1-4, then of the seed-7 width-8 random campaign."""
-    configs = [CampaignConfig(width=w, mode="exhaustive") for w in (1, 2, 3, 4)]
+def campaign_families():
+    """(width, values, closed) of every non-zero family at widths 1-3,
+    then of the seed-7 width-8 random campaign."""
+    configs = [CampaignConfig(width=w, mode="exhaustive") for w in (1, 2, 3)]
     configs.append(
         CampaignConfig(width=8, mode="random", sample_count=1000, generator_count=3, seed=7)
     )
     for cfg in configs:
-        for args in _chunk_args(cfg):
-            for _, values, closed in _chunk_families(args):
-                if closed >> IMP.table & 1 and any(values):
-                    yield cfg.width, values, closed
+        for _, values, closed in families(cfg):
+            if any(values):
+                yield cfg.width, values, closed
 
 
 def test_shared_imp_chain_matches_the_public_witnesses():
-    # The campaign runs the three IMP rows on one shared MatrixViews record
-    # per family; each row's witness(m) builds its own and proves the hypothesis.
-    names = ("material_conditional", "tilde_preconditions", "imp_implies_or")
+    # The campaign runs the rows that apply to a family on one shared
+    # MatrixViews record (the count flip alone on the row values); each
+    # row's witness(m) builds its own record and proves the hypothesis.
     seen = set()
-    for width, values, closed in imp_closed_families():
-        runs = dict(_theorem_runs(width, values, closed))
-        m = BinaryMatrix.from_values(width, values)
-        for name in names:
-            assert runs[name]() == THEOREMS[name].witness(m), (name, width, values)
-        seen.add(width)
-    assert seen == {1, 2, 3, 4, 8}
+    for width, values, closed in campaign_families():
+        m = BinaryMatrix(width, values)
+        for name, runner in _theorem_runs(width, values, closed):
+            assert runner() == THEOREMS[name].witness(m), (name, width, values)
+            seen.add(name)
+    assert seen == set(THEOREMS)
+
+
+@pytest.mark.parametrize("check", THEOREMS)
+def test_every_reproducer_reruns_through_its_row(check, tmp_path, monkeypatch):
+    # Each check's broken step dumps a reproducer whose "# theorem:" row,
+    # rerun on its rows, fails under the break and passes without it.
+    assert set(BROKEN_STEPS) == set(THEOREMS)
+    owner, attribute, replacement = BROKEN_STEPS[check]
+    monkeypatch.setattr(owner, attribute, replacement)
+    header = assert_cli_dumps_reproducer(check, tmp_path, monkeypatch)
+    m = parse_matrix(sorted(tmp_path.glob(f"repro-{check}-*.bm"))[0].read_text())
+    row = THEOREMS[header["theorem"]]
+    try:
+        assert not row.witness(m)
+    except ClosureLabError:
+        pass
+    monkeypatch.undo()
+    assert row.witness(m)
 
 
 #: The rows that each run the negation core: one family closed under NAND

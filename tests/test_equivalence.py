@@ -16,7 +16,7 @@ from closurelab import (
     psi,
 )
 from closurelab.equivalence import CANON_WIDTH_CAP
-from closurelab.errors import WidthCapExceeded
+from closurelab.errors import ParameterOutOfRange, WidthCapExceeded
 
 from conftest import (
     canonical_form_oracle,
@@ -94,6 +94,23 @@ def test_recorded_permutations_reproduce_canonical():
         m = random_distinct_matrix(rng, width, n)
         form = canonicalize(m)
         assert apply_permutations(m, form.row_perm, form.col_perm) == form.matrix
+
+
+@pytest.mark.parametrize(
+    "row_perm, col_perm, named",
+    [
+        ((0, 1, 2), (0, 1), "col_perm"),  # too short
+        ((0, 1, 2), (0, 0, 1), "col_perm"),  # a repeated column
+        ((0, 1, 2), (-1, 0, 1), "col_perm"),  # would wrap to the last column
+        ((0, 1, 2), (0, 1, 5), "col_perm"),  # past the last column
+        ((2,), (0, 1, 2), "row_perm"),  # one row of three
+    ],
+    ids=["short", "repeated", "negative", "past_end", "one_row"],
+)
+def test_apply_permutations_rejects_a_non_permutation(row_perm, col_perm, named):
+    m = parse_matrix("101\n010\n111\n")
+    with pytest.raises(ParameterOutOfRange, match=f"^{named} "):
+        apply_permutations(m, row_perm, col_perm)
 
 
 def test_are_equivalent_is_reflexive_and_symmetric():

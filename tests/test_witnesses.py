@@ -542,6 +542,8 @@ GATE_FAILURES = {
         ("100\n010\n", "family is not closed under union"),
         ("110\n011\n111\n", "family is not closed under nonempty intersection"),
     ],
+    "complement_count_flip": [("00\n", "the all-zero matrix is not a space")],
+    "union_closed_frankl": [("01\n10\n", "rows are not closed under or")],
 }
 
 
@@ -571,6 +573,7 @@ CORE_FAILURES = [
     ("material_conditional", "100\n", True, "first basis vector is not used by any row"),
     ("material_conditional", "001\n111\n011\n", True,
      "tilde column count disagrees with the v1-user count"),
+    ("union_closed_frankl", "100\n010\n001\n", False, "no column reaches half the rows"),
 ]
 
 

@@ -26,8 +26,6 @@ import threading
 from collections import defaultdict
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "closurelab"
 
@@ -72,8 +70,9 @@ def statement_spans(source: str) -> list[tuple[int, int]]:
     return spans
 
 
-def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code for args, and the lines run per package file."""
+def run_traced(fn, *args):
+    """fn(*args) run in this process: its result, and the lines run per
+    package file."""
     prefix = str(PACKAGE) + "/"
     hits: dict[str, set[int]] = defaultdict(set)
 
@@ -89,11 +88,11 @@ def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(args)
+        result = fn(*args)
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return code, hits
+    return result, hits
 
 
 def unrun_statements(hits: dict[str, set[int]]) -> list[str]:
@@ -109,8 +108,10 @@ def unrun_statements(hits: dict[str, set[int]]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
+    import pytest
+
     sys.path.insert(0, str(ROOT / "src"))
-    code, hits = run_traced(argv or ["tests"])
+    code, hits = run_traced(pytest.main, argv or ["tests"])
     unrun = unrun_statements(hits)
     print("\n".join(unrun))
     print(f"{len(unrun)} statement(s) in src/closurelab never ran; pytest exited {int(code)}",
