@@ -3,9 +3,9 @@
 Exhaustive mode walks every nonempty set of distinct width-m rows
 (encoded as a 2**m-bit integer, one bit per possible row), classifies
 each under all sixteen binary operators, and runs every check (each a
-witnesses.THEOREMS row) whose hypothesis holds, on a shared record
-unless only the count flip applies (see _theorem_runs); a chunk of
-family codes is classified at once with row presence vectors. Negation
+witnesses.THEOREMS row) whose hypothesis holds on one record of the
+family (see _theorem_runs); a chunk of family codes is classified at
+once with row presence vectors. Negation
 needs no case of its own: it is truth table 3, so a family's
 classification is one 16-bit mask. Random mode draws seeded generator
 rows, closes them under a drawn operator, classifies each family with
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .bitcore import BinaryMatrix, _packed_matrix, column_sums, format_matrix
+from .bitcore import BinaryMatrix, _packed_matrix, format_matrix
 from .errors import (
     CampaignFailure,
     ClosureLabError,
@@ -54,7 +54,7 @@ from .operators import (
     op_name,
 )
 from .spaces import _row_tables, closed_under, closure
-from .witnesses import THEOREMS, MatrixViews, _count_flip_consistent
+from .witnesses import THEOREMS, MatrixViews, Theorem
 
 EXHAUSTIVE_WIDTH_CAP = 4
 RANDOM_WIDTH_CAP = 8
@@ -69,11 +69,6 @@ FRANKL_CHECK = "union_closed_frankl"
 #: The checks counted under "theorems" in the summary: every table row
 #: but the half check.
 THEOREM_NAMES = tuple(name for name in THEOREMS if name != FRANKL_CHECK)
-
-#: Each table row with its hypothesis as bits of the 16-bit closure mask.
-_HYPOTHESIS_MASKS = tuple(
-    (t, sum(1 << op.table for op in t.hypothesis)) for t in THEOREMS.values()
-)
 
 #: (mask bit, summary name) of every counted closure; "not" reads bit 3.
 _CLOSED_NAMES = tuple((op.table, op_name(op)) for op in (*ALL_OPS, NEGATION))
@@ -210,6 +205,12 @@ def _neg_closed(width: int, values: tuple[int, ...]) -> bool:
     return all(v ^ mask in present for v in values)
 
 
+@functools.cache
+def _applicable(closed: int) -> tuple[Theorem, ...]:
+    """The THEOREMS rows whose hypothesis the closure mask meets, in table order."""
+    return tuple(t for t in THEOREMS.values() if all(closed >> op.table & 1 for op in t.hypothesis))
+
+
 def _theorem_runs(
     width: int, values: tuple[int, ...], closed: int
 ) -> list[tuple[str, Callable[[], object]]]:
@@ -224,27 +225,17 @@ def _theorem_runs(
     the statements exactly: closure under the named operator(s), read from
     the 16-bit closure mask closed (negation is bit 3), and a non-zero
     matrix. Both are known here, so runners call the row cores, which do
-    not prove the hypothesis again. They share one MatrixViews record,
-    built without re-checking the rows (_chunk_families yields them
-    distinct and in range). So the rows are counted in full once (the
-    record's sums), complemented and counted once more by the count flip,
-    and complemented as a matrix at most once (the record's tilde).
-
-    A family that only the count flip applies to (60308 of the 65535 at
-    width 4) gets no record: its runner checks the row values directly.
-    Building a record for these too made the width-4 sweep 16% slower.
+    not prove the hypothesis again. Every non-zero family's runners share
+    one MatrixViews record, built without re-checking the rows
+    (_chunk_families yields them distinct and in range). So the rows are
+    counted in full once (the record's sums), complemented and counted
+    once more by the count flip, and packed or complemented as a matrix
+    only if a core reads it (the record's m and tilde).
     """
     if not any(values):
         return []
-    rows = [t for t, mask in _HYPOTHESIS_MASKS if closed & mask == mask]
-    if len(rows) == 1:
-        # Only the count flip, whose hypothesis is empty, applies.
-        return [
-            (rows[0].name,
-             lambda: _count_flip_consistent(width, values, column_sums(width, values)))
-        ]
-    views = MatrixViews(_packed_matrix(width, values))
-    return [(t.name, functools.partial(t.core, views)) for t in rows]
+    views = MatrixViews(width, values)
+    return [(t.name, functools.partial(t.core, views)) for t in _applicable(closed)]
 
 
 # --- the family stream ------------------------------------------------------
@@ -269,20 +260,27 @@ def _close_sample(width: int, op_table: int, gens: tuple[int, ...]) -> tuple[int
     return closure(_packed_matrix(width, unique), BoolOp(op_table)).row_values
 
 
+#: Per byte value, the rows its set bits name: a family code below 2**16
+#: has the rows _LOW_ROWS[code & 255] + _HIGH_ROWS[code >> 8].
+_LOW_ROWS = tuple(tuple(r for r in range(8) if byte >> r & 1) for byte in range(256))
+_HIGH_ROWS = tuple(tuple(r + 8 for r in rows) for rows in _LOW_ROWS)
+
+
 def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int]]:
     """One chunk's families as (ref, rows, 16-bit closure mask).
 
     Exhaustive chunks walk family codes (one bit per possible row, rows
-    in increasing binary order) and classify the whole chunk at once
-    with row presence vectors; random chunks close their seeded
-    generators and classify each family's row values with the affine
-    kernel.
+    in increasing binary order), read each code's rows a byte at a time,
+    and classify the whole chunk at once with row presence vectors;
+    random chunks close their seeded generators and classify each
+    family's row values with the affine kernel. Each non-zero family
+    then runs its checks on one record (_theorem_runs).
     """
     mode, width, part = args
     if mode == "exhaustive":
-        rows = range(1 << width)
+        low, high = _LOW_ROWS, _HIGH_ROWS
         for code, closed in zip(part, _closed_mask_coded(width, part)):
-            yield f"f{code}", tuple(r for r in rows if code >> r & 1), closed
+            yield f"f{code}", low[code & 255] + high[code >> 8], closed
     else:
         for index, op_table, gens in part:
             values = _close_sample(width, op_table, gens)

@@ -195,17 +195,16 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
                 present.add(r)
                 rows.append(r)
         return _packed_matrix(width, tuple(rows))
-    maps: list[tuple[int, int]] = []  # (u, d) of every row so far
-    for a in rows:
-        ua, da = ud = row_map(table, a, mask)
-        maps.append(ud)
-        # maps ends with a's masks, so zip stops after row a
-        for b, (ub, db) in zip(rows, maps):
-            r = ua ^ (b & da)
+    swapped = _swapped(table)
+    for i, a in enumerate(rows, 1):
+        u, d = row_map(table, a, mask)  # op(a, b)
+        us, ds = row_map(swapped, a, mask)  # op(b, a)
+        for b in rows[:i]:
+            r = u ^ (b & d)
             if r not in present:
                 present.add(r)
                 rows.append(r)
-            r = ub ^ (a & db)
+            r = us ^ (b & ds)
             if r not in present:
                 present.add(r)
                 rows.append(r)

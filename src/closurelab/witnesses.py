@@ -20,18 +20,16 @@ library callers, the `witness` verb and the rerun of a reproducer's
 Only the topology row gates on something weaker than its campaign
 hypothesis, and stores that gate on the row.
 
-Every core takes one MatrixViews record: the matrix and the views of it
-that several cores read, each computed on first use and kept. A campaign
-builds one record per family, so its rows are counted in full once and
-complemented once, however many rows apply. The three negation rows
-share one complement pairing, and the three IMP rows, which re-trace one
-chain, share one AND check of the complemented rows: those are AND- and
-ABJ-closed, so their basis gives the half-full column, and their AND
-closure is OR closure of the rows. The proof scans, the count flip and
-the half check read the record's column sums; each certificate recounts
-its one column from the matrix. A campaign family that only the count
-flip applies to runs _count_flip_consistent on its rows alone: for
-such a family the record would cost more than the check.
+Every core takes one MatrixViews record: the rows and the views of them
+that several cores read, the packed matrix among them, each computed on
+first use and kept. A campaign builds one record per non-zero family,
+so its rows are counted in full once and complemented once, however
+many rows apply. The three negation rows share one complement pairing,
+and the three IMP rows, which re-trace one chain, share one AND check
+of the complemented rows: those are AND- and ABJ-closed, so their basis
+gives the half-full column, and their AND closure is OR closure of the
+rows. The proof scans, the count flip and the half check read the
+record's column sums; each certificate recounts its one column.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from functools import cached_property
 from typing import Callable
 
 from .basis import compute_basis
-from .bitcore import BinaryMatrix, column_sum, column_sums
+from .bitcore import BinaryMatrix, _packed_matrix, column_sum, column_sums
 from .errors import AllEmpty, PreconditionViolated, VerificationFailed
 from .operators import (
     ABJ,
@@ -78,15 +76,18 @@ class FranklWitness:
 
 
 class MatrixViews:
-    """One matrix and the views of it that the theorem cores share, each
-    computed on first use and kept: the column sums, the complemented
-    rows, whether those are the rows again (paired), and whether they
-    are AND-closed."""
+    """One matrix's rows (checked by the caller) and the views of them the
+    theorem cores share, each computed on first use and kept: the packed
+    matrix, the column sums, the complemented rows, whether those are the
+    rows again (paired), and whether they are AND-closed. A campaign
+    builds one per non-zero family, whichever rows apply."""
 
-    def __init__(self, m: BinaryMatrix):
-        self.m = m
+    def __init__(self, width: int, values: tuple[int, ...]):
+        self.width = width
+        self.values = values
 
-    sums = cached_property(lambda self: column_sums(self.m.width, self.m.row_values))
+    m = cached_property(lambda self: _packed_matrix(self.width, self.values))
+    sums = cached_property(lambda self: column_sums(self.width, self.values))
     tilde = cached_property(lambda self: tilde_matrix(self.m))
     paired = cached_property(lambda self: set(self.tilde.row_values) == set(self.m.row_values))
     tilde_and = cached_property(lambda self: is_closed(self.tilde, AND))
@@ -295,7 +296,7 @@ def _half_column(views: MatrixViews) -> bool:
     half the rows, read from the record's column sums. The union-closed
     (Frankl) conjecture is open in general, so this row failing on a
     union-closed family would be a counterexample, not a bug."""
-    if 2 * max(views.sums) < views.m.n_rows:
+    if 2 * max(views.sums) < len(views.values):
         raise VerificationFailed("no column reaches half the rows")
     return True
 
@@ -328,7 +329,7 @@ class Theorem:
                     raise PreconditionViolated(f"rows are not closed under {name}")
         if not m.non_zero:
             raise PreconditionViolated("the all-zero matrix is not a space")
-        return self.core(MatrixViews(m))
+        return self.core(MatrixViews(m.width, m.row_values))
 
 
 #: Every campaign check by name, run in this order: the theorems in
@@ -352,7 +353,7 @@ THEOREMS = {
         # weaker union and nonempty-intersection closure of the family.
         Theorem("topology", "topology", (AND, OR), _topology_core, _topology_gate),
         Theorem("complement_count_flip", None, (),
-                lambda v: _count_flip_consistent(v.m.width, v.m.row_values, v.sums)),
+                lambda v: _count_flip_consistent(v.width, v.values, v.sums)),
         Theorem("union_closed_frankl", None, (OR,), _half_column),
     )
 }

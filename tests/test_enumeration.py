@@ -360,11 +360,10 @@ def test_campaign_failure_dumps_reproducer(tmp_path, monkeypatch):
 
 
 def test_random_reproducer_names_its_operator_and_generators(tmp_path, monkeypatch):
-    # Zero column sums fail the count flip on every family but {111}, which
-    # this seed does not draw: a family without a record counts only its
-    # complemented rows here. Each random-mode reproducer names its drawn
-    # operator and distinct generator rows, and the close verb on those
-    # rows prints the reproducer's rows in order.
+    # Zero column sums fail the count flip on every family: its record
+    # counts both the rows and the complemented rows here. Each random-mode
+    # reproducer names its drawn operator and distinct generator rows, and
+    # the close verb on those rows prints the reproducer's rows in order.
     monkeypatch.setattr(witnesses, "column_sums", lambda width, values: [0] * width)
     cfg = CampaignConfig(width=3, mode="random", sample_count=40, generator_count=3, seed=5)
     with pytest.raises(CampaignFailure):
@@ -399,7 +398,7 @@ def test_random_reproducer_names_its_operator_and_generators(tmp_path, monkeypat
         ]
 
 
-_REAL_COL_SUMS = enumeration.column_sums
+_REAL_COL_SUMS = bitcore.column_sums
 _REAL_IS_CLOSED = witnesses.is_closed
 
 
@@ -410,8 +409,8 @@ def _no_basis(m):
 def _miscount_complements(width, values):
     # The exhaustive stream yields rows ascending, so complemented rows of a
     # multi-row family come out descending: count one extra one there. The
-    # count flip counts its complemented rows here, and the MatrixViews
-    # record counts the rows here too.
+    # family's MatrixViews record counts its rows here, and the count flip
+    # its complemented rows.
     sums = _REAL_COL_SUMS(width, values)
     return [s + 1 for s in sums] if list(values) != sorted(values) else sums
 
@@ -513,9 +512,9 @@ def campaign_families():
 
 
 def test_shared_imp_chain_matches_the_public_witnesses():
-    # The campaign runs the rows that apply to a family on one shared
-    # MatrixViews record (the count flip alone on the row values); each
-    # row's witness(m) builds its own record and proves the hypothesis.
+    # The campaign runs the rows that apply to a non-zero family on one
+    # shared MatrixViews record, the count flip among them; each row's
+    # witness(m) builds its own record and proves the hypothesis.
     seen = set()
     for width, values, closed in campaign_families():
         m = BinaryMatrix(width, values)
@@ -523,6 +522,39 @@ def test_shared_imp_chain_matches_the_public_witnesses():
             assert runner() == THEOREMS[name].witness(m), (name, width, values)
             seen.add(name)
     assert seen == set(THEOREMS)
+
+
+def test_every_non_zero_family_runs_on_one_record(monkeypatch):
+    # Each non-zero family builds exactly one MatrixViews record, in stream
+    # order, however many rows apply to it (the count flip alone included);
+    # the all-zero family builds none.
+    real = enumeration.MatrixViews
+    built = []
+
+    def counting(width, values):
+        built.append((width, values))
+        return real(width, values)
+
+    monkeypatch.setattr(enumeration, "MatrixViews", counting)
+    configs = [CampaignConfig(width=w, mode="exhaustive") for w in (1, 2, 3)]
+    configs.append(
+        CampaignConfig(width=8, mode="random", sample_count=1000, generator_count=3, seed=7)
+    )
+    for cfg in configs:
+        built.clear()
+        run_campaign(cfg)
+        non_zero = [(cfg.width, values) for _, values, _ in families(cfg) if any(values)]
+        assert built == non_zero, cfg
+
+
+def test_family_code_rows_come_from_two_byte_tables():
+    # The exhaustive stream reads a code's rows a byte at a time; two
+    # tables cover every code only while a family code fits in 16 bits.
+    assert enumeration.EXHAUSTIVE_WIDTH_CAP <= 4
+    low, high = enumeration._LOW_ROWS, enumeration._HIGH_ROWS
+    for code in range(1 << 16):
+        rows = tuple(r for r in range(16) if code >> r & 1)
+        assert low[code & 255] + high[code >> 8] == rows, code
 
 
 @pytest.mark.parametrize("check", THEOREMS)
@@ -566,7 +598,7 @@ def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner in (bitcore, enumeration, witnesses):
+    for owner in (bitcore, witnesses):
         watch(owner, "column_sums", counted)
     watch(witnesses, "tilde_matrix", tilde_calls)
     configs = [
@@ -626,8 +658,7 @@ def test_a_raising_count_in_the_frankl_check_is_a_counted_failure(tmp_path, monk
     def raising(width, values):
         raise PreconditionViolated("injected count failure")
 
-    for owner in (enumeration, witnesses):
-        monkeypatch.setattr(owner, "column_sums", raising)
+    monkeypatch.setattr(witnesses, "column_sums", raising)
     counts = width_two_campaign_counts()
     assert counts["frankl"]["failures"] == counts["frankl"]["or_closed_nonzero"] > 0
     failures = {(name, message) for _, name, message, _, _ in counts["failures"]}

@@ -99,7 +99,8 @@ def test_negation_core_reports_the_first_column_off_half(monkeypatch):
 def test_negation_core_rejects_rows_that_are_not_their_complements():
     # The even-weight rows of width 3 hold two ones in every column, so
     # only the pairing check (the record's cached view) can reject them.
-    views = MatrixViews(parse_matrix("000\n011\n101\n110\n"))
+    m = parse_matrix("000\n011\n101\n110\n")
+    views = MatrixViews(m.width, m.row_values)
     assert views.sums == [2, 2, 2]
     with pytest.raises(VerificationFailed, match="^column-1 halves are not complements"):
         witnesses._negation_core(views)
@@ -299,7 +300,7 @@ def test_topology_core_matches_the_member_rule():
         assert is_closed(m, AND) and is_closed(m, OR)
         element, count = topology_member_rule(m)
         w = THEOREMS["topology"].witness(m)
-        assert w == _topology_core(MatrixViews(m)) and w.column == element, m
+        assert w == _topology_core(MatrixViews(m.width, m.row_values)) and w.column == element, m
         assert column_sum(m, element) == count
         sizes = sorted(v.bit_count() for v in m.row_values if v)
         ties += len(sizes) > 1 and sizes[0] == sizes[1]
@@ -346,7 +347,7 @@ def topology_reference(f: SetFamily):
                 raise PreconditionViolated("family is not closed under nonempty intersection")
     if not any(sets):
         raise AllEmpty("every member is the empty set; no element exists")
-    return _topology_core(MatrixViews(f))
+    return _topology_core(MatrixViews(f.width, f.row_values))
 
 
 def outcome(fn, f):
@@ -520,7 +521,7 @@ def test_gated_witness_matches_its_core(theorem):
         if not m.non_zero or not meets_gate_hypothesis(theorem, m):
             continue
         seen += 1
-        assert theorem.witness(m) == theorem.core(MatrixViews(m)), values
+        assert theorem.witness(m) == theorem.core(MatrixViews(m.width, m.row_values)), values
     assert seen
 
 
@@ -585,5 +586,6 @@ CORE_FAILURES = [
 def test_every_core_verification_step_can_fire(monkeypatch, name, rows, patched, message):
     if patched:
         monkeypatch.setattr(witnesses, "compute_basis", lambda m: Basis(3, (0b110,)))
+    m = parse_matrix(rows)
     with pytest.raises(VerificationFailed, match=f"^{re.escape(message)}$"):
-        THEOREMS[name].core(MatrixViews(parse_matrix(rows)))
+        THEOREMS[name].core(MatrixViews(m.width, m.row_values))
