@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -314,6 +314,66 @@ def _run_chunk(args: tuple) -> tuple[dict[int, int], dict[tuple[str, bool], int]
     return masks, runs, failures
 
 
+def _run_stride(sender, chunks: list[tuple]) -> None:
+    """A child worker's body: send the caller its stride's flat counts,
+    chunk by chunk, or the exception that stopped it with its traceback."""
+    try:
+        part = [_run_chunk(c) for c in chunks]
+    except Exception as exc:
+        import traceback  # only a failing child pays for it
+
+        part = exc, traceback.format_exc()
+    sender.send(part)
+
+
+def _run_strides(chunks: list[tuple], workers: int) -> list[tuple]:
+    """Every chunk's flat counts, in chunk order, from workers workers.
+
+    Worker k runs the fixed stride chunks[k::workers]. The caller is
+    worker 0 and runs its stride in-process, so a single worker starts
+    no process. Each other worker is a child process that sends back its
+    stride's counts, or its exception, through its own pipe. A child's
+    exception is raised here, and a child that dies before it sends is a
+    RuntimeError naming the worker and its exit code. No child outlives
+    the call. Workers share no state, so any start method gives the
+    same results.
+    """
+    context = get_context()
+    children = []
+    try:
+        for k in range(1, workers):
+            receiver, sender = context.Pipe(duplex=False)
+            stride = chunks[k::workers]
+            child = context.Process(target=_run_stride, args=(sender, stride), daemon=True)
+            child.start()
+            sender.close()  # the child's copy alone is open: its death reads as EOF
+            children.append((child, receiver))
+        results = [None] * len(chunks)
+        results[::workers] = [_run_chunk(c) for c in chunks[::workers]]
+        for k, (child, receiver) in enumerate(children, 1):
+            try:
+                part = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"campaign worker {k} exited with code {child.exitcode}"
+                    " before sending its counts"
+                ) from None
+            if isinstance(part, tuple):
+                error, trace = part
+                raise error from RuntimeError(f"in campaign worker {k}:\n{trace}")
+            results[k::workers] = part
+    except BaseException:
+        for child, _ in children:
+            child.terminate()  # its counts would go unread
+        raise
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.join()
+    return results
+
+
 def _merge(parts: list[tuple]) -> dict:
     """Sum the chunks' flat counts and shape them, the one place that
     knows the summary's shape: every counted closure and every
@@ -411,18 +471,9 @@ def run_campaign(cfg: CampaignConfig, dump_dir: str | Path = ".") -> CampaignSum
     runs with the same config and seed, whatever the parallelism.
     """
     chunks = _chunk_args(cfg)
-    # The pool starts every worker up front; more than one per chunk
-    # would only idle, and a single worker runs in-process.
-    workers = min(cfg.parallelism, len(chunks))
-    if workers == 1:
-        results = [_run_chunk(c) for c in chunks]
-    else:
-        # Workers share no state, so any start method gives the same
-        # results. Tasks of several chunks (about eight a worker) cut the
-        # per-task cost and keep costly chunks balanced.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(chunks) // (8 * workers))
-            results = list(pool.map(_run_chunk, chunks, chunksize=chunksize))
+    # --jobs N starts N - 1 child processes; more workers than chunks
+    # would only idle.
+    results = _run_strides(chunks, min(cfg.parallelism, len(chunks)))
     total = _merge(results)
     failures = total.pop("failures")
     config = {

@@ -1,8 +1,12 @@
+import contextlib
 import functools
 import hashlib
 import json
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import signal
+import time
+import types
 from pathlib import Path
 
 import pytest
@@ -217,8 +221,8 @@ def assert_spawned_pool_matches_serial(monkeypatch, **cfg):
     # Spawned workers start from a fresh interpreter and inherit nothing
     # from the parent process.
     serial = run_campaign(CampaignConfig(parallelism=1, **cfg))
-    spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", spawn)
+    spawn = functools.partial(multiprocessing.get_context, "spawn")
+    monkeypatch.setattr(enumeration, "get_context", spawn)
     parallel = run_campaign(CampaignConfig(parallelism=2, **cfg))
     assert parallel.to_json() == serial.to_json()
 
@@ -653,8 +657,9 @@ def test_union_closed_frankl_check_can_fail(tmp_path, monkeypatch):
 
 def test_a_raising_count_in_the_frankl_check_is_a_counted_failure(tmp_path, monkeypatch):
     # An error raised while the half check counts is caught like a theorem
-    # runner's: counted, and dumped as a reproducer carrying its message,
-    # wherever in the package the count is made.
+    # runner's: counted, and dumped as a reproducer carrying its message.
+    # Only witnesses counts rows, so patching its column_sums reaches
+    # every count.
     def raising(width, values):
         raise PreconditionViolated("injected count failure")
 
@@ -667,41 +672,102 @@ def test_a_raising_count_in_the_frankl_check_is_a_counted_failure(tmp_path, monk
     assert header["message"] == "injected count failure"
 
 
+FORK = functools.partial(multiprocessing.get_context, "fork")
+
+
 def test_pool_workers_are_clamped_to_the_chunk_count(monkeypatch):
-    requested = []
+    fork = FORK()
+    started = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    class RecordingProcess(fork.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    context = types.SimpleNamespace(Pipe=fork.Pipe, Process=RecordingProcess)
+    monkeypatch.setattr(enumeration, "get_context", lambda: context)
     wide = run_campaign(CampaignConfig(width=2, mode="exhaustive", parallelism=500))
-    assert requested == [15]  # width 2 splits into one chunk per family
+    # Width 2 splits into one chunk per family: 15 workers, the caller one of them.
+    assert len(started) == 14
     assert wide.to_json() == run_campaign(CampaignConfig(width=2, mode="exhaustive")).to_json()
-    # One sample is one chunk: the single worker runs in-process, no pool.
+    # One sample is one chunk: the caller runs it and starts no child.
     one = dict(width=4, mode="random", sample_count=1, seed=3)
     single = run_campaign(CampaignConfig(**one, parallelism=4))
-    assert requested == [15]
+    assert len(started) == 14
     assert single.to_json() == run_campaign(CampaignConfig(**one)).to_json()
+    assert multiprocessing.active_children() == []
+
+
+def break_chunks(monkeypatch, in_caller, in_child):
+    """Fork the campaign's children, and make _run_chunk call in_caller in
+    the calling process and in_child in every child before its work."""
+    monkeypatch.setattr(enumeration, "get_context", FORK)
+    caller, real = os.getpid(), _run_chunk
+
+    def chunk(args):
+        (in_caller if os.getpid() == caller else in_child)()
+        return real(args)
+
+    monkeypatch.setattr(enumeration, "_run_chunk", chunk)
+
+
+def fail(error):
+    def step():
+        raise error
+
+    return step
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail a campaign call that is still waiting on its children after
+    seconds, rather than hang the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"campaign still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_error_in_a_child_reaches_the_caller(monkeypatch):
+    break_chunks(monkeypatch, lambda: None, fail(TypeError("injected in a child")))
+    with deadline(30), pytest.raises(TypeError, match="^injected in a child$") as exc:
+        run_campaign(CampaignConfig(width=2, mode="exhaustive", parallelism=2))
+    # The child's traceback comes along as the cause.
+    cause = str(exc.value.__cause__)
+    assert cause.startswith("in campaign worker 1:\nTraceback") and "in _run_stride" in cause
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_before_sending_is_named(monkeypatch):
+    break_chunks(monkeypatch, lambda: None, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with deadline(30), pytest.raises(RuntimeError, match="worker 1 exited with code -9 "):
+        run_campaign(CampaignConfig(width=2, mode="exhaustive", parallelism=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_the_callers_stride_stops_and_joins_its_child(monkeypatch):
+    # The caller's error stops the child rather than wait out its stride
+    # (two samples are two chunks, one a worker).
+    break_chunks(monkeypatch, fail(ValueError("injected in the caller")), lambda: time.sleep(60))
+    with deadline(30), pytest.raises(ValueError, match="^injected in the caller$"):
+        run_campaign(CampaignConfig(width=4, mode="random", sample_count=2, seed=3, parallelism=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_failing_campaign_dumps_the_same_reproducers_through_the_pool(tmp_path, monkeypatch):
-    # Chunks cross the pool as flat counts and failure tuples; a failing
-    # campaign must dump the same files, in the same order, either way.
-    # Forked workers inherit the broken step.
+    # Chunks cross the children's pipes as flat counts and failure tuples;
+    # a failing campaign must dump the same files, in the same order,
+    # either way. Forked children inherit the broken step.
     owner, attribute, replacement = BROKEN_STEPS["complement_count_flip"]
     monkeypatch.setattr(owner, attribute, replacement)
-    fork = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", fork)
+    monkeypatch.setattr(enumeration, "get_context", FORK)
     dumped = {}
     for jobs in (2, 1):
         dump_dir = tmp_path / f"jobs{jobs}"
@@ -710,6 +776,7 @@ def test_failing_campaign_dumps_the_same_reproducers_through_the_pool(tmp_path, 
         paths = [Path(p) for p in exc.value.reproducers]
         assert all(p.parent == dump_dir for p in paths)
         dumped[jobs] = [(p.name, p.read_bytes()) for p in paths]
+        assert multiprocessing.active_children() == []
     assert dumped[2] and dumped[2] == dumped[1]
     assert {name for name, _ in dumped[1]} == {p.name for p in (tmp_path / "jobs1").iterdir()}
 

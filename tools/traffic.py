@@ -5,7 +5,7 @@
 Builds the seed-7 inputs of perfbench/workloads.py in a temporary
 directory, then runs them in this process under linecov's line tracer:
 the `verbs` requests through click's CliRunner, the `random_w8` campaign
-at parallelism 1 (pool workers are not traced) and the width-3
+at parallelism 1 (child processes are not traced) and the width-3
 exhaustive campaign that `exhaustive_w4` runs at size "tiny". Prints
 every statement of `src/closurelab` that none of them ran, as
 `file:line: source` (see linecov.py for what counts as run), and on
