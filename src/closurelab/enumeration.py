@@ -30,7 +30,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .bitcore import BinaryMatrix, _packed_matrix, format_matrix
+from .bitcore import BinaryMatrix, format_matrix
 from .errors import (
     CampaignFailure,
     ClosureLabError,
@@ -50,10 +50,9 @@ from .operators import (
     OR,
     XNOR,
     XOR,
-    BoolOp,
     op_name,
 )
-from .spaces import _row_tables, closed_under, closure
+from .spaces import _row_tables, closed_under, closure_values
 from .witnesses import THEOREMS, MatrixViews, Theorem
 
 EXHAUSTIVE_WIDTH_CAP = 4
@@ -186,6 +185,7 @@ def _closed_mask_direct(width: int, values: tuple[int, ...]) -> int:
     generate all sixteen: a NAND-closed family costs one check.
     """
     mask = (1 << width) - 1
+    values = bytes(values) if mask < 256 else values  # closed_under's bytes() is then a no-op
     closed = known = 0
     for op in _CLONE_ORDER:
         if known >> op & 1:
@@ -216,21 +216,18 @@ def _theorem_runs(
 ) -> list[tuple[str, Callable[[], object]]]:
     """Applicable checks for one family, as (name, runner) pairs: the
     THEOREMS rows whose hypothesis holds, in table order, so a failure is
-    dumped under the name of the row that reruns it.
-
-    A runner returns a truthy certificate or True on success; it raises
-    a package error (or returns False) on failure. A chunk (_run_chunk)
-    counts each run under (name, passed); only _merge files those counts
-    into the summary, FRANKL_CHECK's under "frankl". Hypotheses follow
-    the statements exactly: closure under the named operator(s), read from
-    the 16-bit closure mask closed (negation is bit 3), and a non-zero
-    matrix. Both are known here, so runners call the row cores, which do
-    not prove the hypothesis again. Every non-zero family's runners share
-    one MatrixViews record, built without re-checking the rows
-    (_chunk_families yields them distinct and in range). So the rows are
-    counted in full once (the record's sums), complemented and counted
-    once more by the count flip, and packed or complemented as a matrix
-    only if a core reads it (the record's m and tilde).
+    dumped under the name of the row that reruns it (and perfbench's
+    tracer times it under that name). A runner returns a truthy
+    certificate or True on success; it raises a package error (or returns
+    False) on failure. Hypotheses follow the statements exactly: closure
+    under the named operator(s), read from the 16-bit closure mask closed
+    (negation is bit 3), and a non-zero matrix, so runners call the row
+    cores, which do not prove them again. Every non-zero family's runners
+    share one MatrixViews record, built without re-checking the rows
+    (_chunk_families yields them distinct and in range): its rows are
+    counted in full once, complemented and counted once more by the count
+    flip, run through a passing negation core once, and packed or
+    complemented as a matrix only if a core reads it.
     """
     if not any(values):
         return []
@@ -254,10 +251,9 @@ def _draw_samples(cfg: CampaignConfig) -> list[tuple[int, int, tuple[int, ...]]]
 
 
 def _close_sample(width: int, op_table: int, gens: tuple[int, ...]) -> tuple[int, ...]:
-    # The rows are drawn in range and deduplicated here, so the generator
-    # matrix skips the row checks.
-    unique = tuple(dict.fromkeys(gens))
-    return closure(_packed_matrix(width, unique), BoolOp(op_table)).row_values
+    """A sample's family: its distinct generator rows, drawn in range, closed
+    under its drawn truth table by spaces.closure_values (no matrix built)."""
+    return closure_values(op_table, tuple(dict.fromkeys(gens)), (1 << width) - 1)
 
 
 #: Per byte value, the rows its set bits name: a family code below 2**16
@@ -293,8 +289,8 @@ def _chunk_families(args: tuple) -> Iterator[tuple[str, tuple[int, ...], int]]:
 def _run_chunk(args: tuple) -> tuple[dict[int, int], dict[tuple[str, bool], int], list[tuple]]:
     """One chunk's flat counts: families per 16-bit closure mask, check
     runs per (name, passed), and the failures as (ref, name, message,
-    width, rows) in family order. A runner that raises a package error
-    has failed with its message."""
+    width, rows) in family order. The runners are _theorem_runs' pairs;
+    one that raises a package error has failed with its message."""
     width = args[1]
     masks: dict[int, int] = {}
     runs: dict[tuple[str, bool], int] = {}

@@ -4,7 +4,8 @@ A space is a non-zero matrix whose row set is closed under an operator.
 Every closure check and the closure itself run on one kernel: with the
 left row a fixed, an operator is op(a, b) == u ^ (b & d) for masks
 (u, d) of a alone, and op(b, a) is the same with the masks of the
-operator whose arguments are swapped.
+operator whose arguments are swapped. The closure's one entry,
+closure_values(table, values, mask), builds no operator or matrix.
 
 Rows that fit in a byte are handled as byte strings, with no Python set.
 Per operator, row a looks up the 256-byte table of op(a, .),
@@ -107,15 +108,15 @@ def _diagonal(table: int, mask: int) -> tuple[int, int] | None:
     return u, u ^ apply_values(table, mask, mask, mask)
 
 
-def closed_under(table: int, values: tuple[int, ...], mask: int) -> bool:
+def closed_under(table: int, values: tuple[int, ...] | bytes, mask: int) -> bool:
     """True iff op(a, b) is among the values for every a, b in the values.
 
     When the rows fit in a byte (mask < 256) the values are one bytes
-    object, and a row's images are that object translated through the
-    256-byte table of op(a, .); they are all rows when deleting the rows'
-    bytes leaves nothing. The first left row is tested alone, since most
-    failing checks fail on it; then every row's images are translated,
-    joined and tested in one deletion.
+    object (values given as bytes are that object), and a row's images
+    are that object translated through the 256-byte table of op(a, .);
+    they are all rows when deleting the rows' bytes leaves nothing. The
+    first left row is tested alone, since most failing checks fail on it;
+    then every row's images are translated, joined and tested at once.
 
     Wider rows build the set {u ^ (b & d) for b} of one left row's images
     at a time, stopping at the first row whose images leave the rows. A
@@ -157,7 +158,14 @@ def is_closed(m: BinaryMatrix, op: OpLike) -> bool:
 
 
 def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
-    """Smallest superset of the generator rows closed under op.
+    """Smallest superset of the generator rows closed under op (see closure_values)."""
+    mask = (1 << generators.width) - 1
+    return _packed_matrix(generators.width, closure_values(op.table, generators.row_values, mask))
+
+
+def closure_values(table: int, values: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The closure's rows: distinct generator values under a truth table,
+    mask all ones at their width, closed into at most mask + 1 rows.
 
     Worklist fixed point: generator rows first, new rows appended in
     discovery order. Row i with value a adds the absent images among
@@ -166,23 +174,15 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
     the masks (u, d) = row_map(table, a), and op(b, a) is the same with
     the masks of the swapped table.
 
-    When the rows fit in a byte (mask < 256) the rows are one bytearray
-    and row i costs a few C-level calls (see _byte_closure): rows[:i+1]
-    translated through the 256-byte table of each map gives the images
-    op(a, b) and op(b, a), the present rows are deleted, and the rest
-    appended in first-occurrence order. Wider rows pair one at a time,
-    except under a table that ignores an argument: there every image of
-    an earlier row's pairs is present, so row i's only possible new image
-    is its diagonal, and appending the absent diagonals in worklist order
-    is the same closure, linear in the rows. The result is a plain
-    BinaryMatrix of at most 2**width rows.
+    Rows that fit in a byte (mask < 256) take _byte_closure, a few C-level
+    calls per row. Wider rows pair one at a time, except under a table
+    that ignores an argument: there every image of an earlier row's pairs
+    is present, so row i's only possible new image is its diagonal, and
+    appending the absent diagonals in order is the same closure.
     """
-    width = generators.width
-    mask = (1 << width) - 1
     if mask < 256:
-        return _packed_matrix(width, tuple(_byte_closure(op.table, generators.row_values, mask)))
-    table = op.table
-    rows = list(generators.row_values)
+        return tuple(_byte_closure(table, values, mask))
+    rows = list(values)
     present = set(rows)
     diagonal = _diagonal(table, mask)
     # iterating a list reads its length at every step, so the rows
@@ -194,7 +194,7 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
             if r not in present:
                 present.add(r)
                 rows.append(r)
-        return _packed_matrix(width, tuple(rows))
+        return tuple(rows)
     swapped = _swapped(table)
     for i, a in enumerate(rows, 1):
         u, d = row_map(table, a, mask)  # op(a, b)
@@ -208,11 +208,11 @@ def closure(generators: BinaryMatrix, op: OpLike) -> BinaryMatrix:
             if r not in present:
                 present.add(r)
                 rows.append(r)
-    return _packed_matrix(width, tuple(rows))
+    return tuple(rows)
 
 
 def _byte_closure(table: int, values: tuple[int, ...], mask: int) -> bytearray:
-    """closure's rows for rows that fit in a byte, in the same order.
+    """closure_values's rows for rows that fit in a byte, in the same order.
 
     Under a symmetric table op(a, b) == op(b, a), so the pair loop's
     images op(a, b), op(b, a) for b in turn are x0 x0 x1 x1 ..., whose

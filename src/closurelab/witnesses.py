@@ -21,21 +21,19 @@ Only the topology row gates on something weaker than its campaign
 hypothesis, and stores that gate on the row.
 
 Every core takes one MatrixViews record: the rows and the views of them
-that several cores read, the packed matrix among them, each computed on
-first use and kept. A campaign builds one record per non-zero family,
-so its rows are counted in full once and complemented once, however
-many rows apply. The three negation rows share one complement pairing,
-and the three IMP rows, which re-trace one chain, share one AND check
-of the complemented rows: those are AND- and ABJ-closed, so their basis
-gives the half-full column, and their AND closure is OR closure of the
-rows. The proof scans, the count flip and the half check read the
-record's column sums; each certificate recounts its one column.
+that several cores read, each built on first use and kept. A campaign
+builds one record per non-zero family, so however many rows apply, its
+rows are counted in full once and complemented once, the three negation
+rows read one passing run of the negation core, and the three IMP rows,
+which re-trace one chain, share one AND check of the complemented rows:
+those are AND- and ABJ-closed, so their basis gives the half-full column,
+and their AND closure is OR closure of the rows. Each certificate
+recounts its one column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from .basis import compute_basis
@@ -75,22 +73,38 @@ class FranklWitness:
             )
 
 
+class _View:
+    """A MatrixViews view, stored on the record once built (a build that
+    raises stores nothing): functools.cached_property without its lock."""
+
+    def __init__(self, build: Callable[[MatrixViews], object]):
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str):
+        self.name = name
+
+    def __get__(self, record: MatrixViews, owner: type | None = None):
+        view = record.__dict__[self.name] = self.build(record)
+        return view
+
+
 class MatrixViews:
-    """One matrix's rows (checked by the caller) and the views of them the
-    theorem cores share, each computed on first use and kept: the packed
-    matrix, the column sums, the complemented rows, whether those are the
-    rows again (paired), and whether they are AND-closed. A campaign
+    """One matrix's rows (checked by the caller) and the _View of them each
+    theorem core reads: the packed matrix, the column sums, the
+    complemented rows, whether those are the rows again (paired), whether
+    they are AND-closed, and the negation core's certificate. A campaign
     builds one per non-zero family, whichever rows apply."""
 
     def __init__(self, width: int, values: tuple[int, ...]):
         self.width = width
         self.values = values
 
-    m = cached_property(lambda self: _packed_matrix(self.width, self.values))
-    sums = cached_property(lambda self: column_sums(self.width, self.values))
-    tilde = cached_property(lambda self: tilde_matrix(self.m))
-    paired = cached_property(lambda self: set(self.tilde.row_values) == set(self.m.row_values))
-    tilde_and = cached_property(lambda self: is_closed(self.tilde, AND))
+    m = _View(lambda self: _packed_matrix(self.width, self.values))
+    sums = _View(lambda self: column_sums(self.width, self.values))
+    tilde = _View(lambda self: tilde_matrix(self.m))
+    paired = _View(lambda self: set(self.tilde.row_values) == set(self.m.row_values))
+    tilde_and = _View(lambda self: is_closed(self.tilde, AND))
+    negation = _View(lambda self: _negation_core(self))
 
 
 def _recount(m: BinaryMatrix, column: int) -> FranklWitness:
@@ -123,6 +137,12 @@ def _negation_core(views: MatrixViews) -> FranklWitness:
         if 2 * ones != n:
             raise VerificationFailed(f"column {j} does not hold exactly half the ones")
     return _recount(m, 1)
+
+
+def _negation_row(views: MatrixViews) -> FranklWitness:
+    """The three negation rows' core: the record runs _negation_core once and
+    keeps its certificate. A failure is not kept, so each row raises afresh."""
+    return views.negation
 
 
 def _group_core(views: MatrixViews, op: BoolOp) -> FranklWitness:
@@ -338,9 +358,9 @@ class Theorem:
 THEOREMS = {
     t.name: t
     for t in (
-        Theorem("negation_lemma", "not", (NEGATION,), _negation_core),
-        Theorem("nand_reduction", "nand", (NAND,), _negation_core),
-        Theorem("nor_reduction", "nor", (NOR,), _negation_core),
+        Theorem("negation_lemma", "not", (NEGATION,), _negation_row),
+        Theorem("nand_reduction", "nand", (NAND,), _negation_row),
+        Theorem("nor_reduction", "nor", (NOR,), _negation_row),
         Theorem("xor_group", "xor", (XOR,), lambda views: _group_core(views, XOR)),
         Theorem("xnor_group", "xnor", (XNOR,), lambda views: _group_core(views, XNOR)),
         # One chain: the complement is AND- and ABJ-closed (tilde_preconditions),

@@ -241,16 +241,26 @@ def test_parallel_random_campaign_is_deterministic_under_spawn(monkeypatch):
 
 #: sha256 of the seed-7 width-8 random summary (1000 samples, 3 generators).
 SEED7_W8_SHA256 = "65d75e11d88669b92f9cebe17774fcc0423495a5f6dddf4b6cfd4ecb0ae2be8f"
+#: sha256 of the same campaign's summary at a held-out seed, 13.
+SEED13_W8_SHA256 = "35a084fb1008623e8cef29b67caa473cffdeb17232eaa28955b17ffe29c00bcf"
+
+
+def width8_random_digest(seed: int, parallelism: int) -> str:
+    cfg = CampaignConfig(
+        width=8, mode="random", sample_count=1000, generator_count=3, seed=seed,
+        parallelism=parallelism,
+    )
+    return hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_seed7_width8_random_summary_is_pinned(parallelism):
-    cfg = CampaignConfig(
-        width=8, mode="random", sample_count=1000, generator_count=3, seed=7,
-        parallelism=parallelism,
-    )
-    text = run_campaign(cfg).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == SEED7_W8_SHA256
+    assert width8_random_digest(7, parallelism) == SEED7_W8_SHA256
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_seed13_width8_random_summary_is_pinned(parallelism):
+    assert width8_random_digest(13, parallelism) == SEED13_W8_SHA256
 
 
 def test_campaign_random_mode_deterministic():
@@ -592,6 +602,7 @@ def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
     # built at most once. Every binding of column_sums is watched.
     counted = []  # the rows of each full count
     tilde_calls = []  # the matrix of each complemented matrix built
+    packed = []  # the rows of each packed matrix the record builds (its m)
 
     def watch(owner, name, log):
         function = getattr(owner, name)
@@ -605,6 +616,7 @@ def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
     for owner in (bitcore, witnesses):
         watch(owner, "column_sums", counted)
     watch(witnesses, "tilde_matrix", tilde_calls)
+    watch(witnesses, "_packed_matrix", packed)
     configs = [
         CampaignConfig(width=3, mode="exhaustive"),
         CampaignConfig(width=8, mode="random", sample_count=1000, generator_count=3, seed=7),
@@ -616,6 +628,7 @@ def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
         for _, values, closed in families(cfg):
             counted.clear()
             tilde_calls.clear()
+            packed.clear()
             runs = _theorem_runs(cfg.width, values, closed)
             assert all(runner() for _, runner in runs), values
             rows, complemented = list(values), [v ^ mask for v in values]
@@ -623,6 +636,7 @@ def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
             assert all(c in (rows, complemented) for c in counts), (values, counts)
             assert counts.count(rows) <= 1 and counts.count(complemented) <= 1, values
             assert len(tilde_calls) <= 1, values
+            assert len(packed) <= 1, values
             passes[cfg.width, values] = len(counted)
             names = {name for name, _ in runs}
             if NEGATION_ROWS <= names:
@@ -633,6 +647,60 @@ def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
     # {000, 111} is closed under every table: 12 full counts before the
     # rows' sums were shared, now the rows and their complements once each.
     assert passes[3, (0, 7)] == 2
+
+
+def test_the_negation_core_runs_once_per_record(monkeypatch):
+    # The three negation rows read one certificate kept on the family's
+    # record: the core runs once for each non-zero family closed under
+    # negation (which NAND and NOR closure imply), however many rows apply.
+    real = witnesses._negation_core
+    ran = []
+
+    def counting(views):
+        ran.append(views.values)
+        return real(views)
+
+    monkeypatch.setattr(witnesses, "_negation_core", counting)
+    configs = [CampaignConfig(width=w, mode="exhaustive") for w in (1, 2, 3)]
+    configs.append(
+        CampaignConfig(width=8, mode="random", sample_count=1000, generator_count=3, seed=7)
+    )
+    for cfg in configs:
+        ran.clear()
+        run_campaign(cfg)
+        closed = [(values, mask) for _, values, mask in families(cfg) if any(values)]
+        assert ran == [values for values, mask in closed if mask >> NEGATION.table & 1], cfg
+        all_three = [
+            values for values, mask in closed
+            if NEGATION_ROWS <= {name for name, _ in _theorem_runs(cfg.width, values, mask)}
+        ]
+        assert all_three and all(ran.count(values) == 1 for values in all_three), cfg
+
+
+def test_each_negation_row_counts_and_dumps_the_shared_failure(tmp_path, monkeypatch):
+    # A failing negation core keeps nothing on the record, so under the
+    # negation rows' broken step each row reruns it, counts the failure
+    # under its own name and dumps its own reproducer, all with one message.
+    owner, attribute, replacement = BROKEN_STEPS["negation_lemma"]
+    monkeypatch.setattr(owner, attribute, replacement)
+    counts = width_two_campaign_counts()
+    by_family = {}
+    for ref, name, message, _, _ in counts["failures"]:
+        by_family.setdefault(ref, {})[name] = message
+    shared = [ref for ref, rows in by_family.items() if NEGATION_ROWS <= set(rows)]
+    assert shared
+    for row in NEGATION_ROWS:
+        assert counts["theorems"][row]["failed"] > 0, row
+    assert_cli_dumps_reproducer("negation_lemma", tmp_path, monkeypatch)
+    for ref in shared:
+        headers = [
+            reproducer_header((tmp_path / f"repro-{row}-{ref}.bm").read_text())
+            for row in sorted(NEGATION_ROWS)
+        ]
+        assert [h["theorem"] for h in headers] == sorted(NEGATION_ROWS)
+        messages = {by_family[ref][row] for row in NEGATION_ROWS}
+        messages |= {h["message"] for h in headers}
+        assert messages == {"column 1 does not hold exactly half the ones"}, ref
 
 
 def test_imp_implies_or_complement_side_can_fail(tmp_path, monkeypatch):
