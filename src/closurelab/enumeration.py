@@ -225,9 +225,9 @@ def _theorem_runs(
     cores, which do not prove them again. Every non-zero family's runners
     share one MatrixViews record, built without re-checking the rows
     (_chunk_families yields them distinct and in range): its rows are
-    counted in full once, complemented and counted once more by the count
-    flip, run through a passing negation core once, and packed or
-    complemented as a matrix only if a core reads it.
+    counted alone at most once, with their complements once (the count
+    flip's one pass), run through a passing negation core once, and packed
+    or complemented as a matrix only if a core reads it.
     """
     if not any(values):
         return []

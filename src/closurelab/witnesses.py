@@ -21,14 +21,14 @@ Only the topology row gates on something weaker than its campaign
 hypothesis, and stores that gate on the row.
 
 Every core takes one MatrixViews record: the rows and the views of them
-that several cores read, each built on first use and kept. A campaign
-builds one record per non-zero family, so however many rows apply, its
-rows are counted in full once and complemented once, the three negation
-rows read one passing run of the negation core, and the three IMP rows,
-which re-trace one chain, share one AND check of the complemented rows:
-those are AND- and ABJ-closed, so their basis gives the half-full column,
-and their AND closure is OR closure of the rows. Each certificate
-recounts its one column.
+that two or more rows read, each built on first use and kept (a check
+one row alone needs builds its own). A campaign builds one record per
+non-zero family, so however many rows apply, its rows are counted in
+full at most once, the three negation rows read one passing run of the
+negation core, and the three IMP rows, which re-trace one chain, share
+one complemented matrix and its AND check: the complemented rows are AND-
+and ABJ-closed, so their basis gives the half-full column, and their AND
+closure is OR closure of the rows. Each certificate recounts its one column.
 """
 
 from __future__ import annotations
@@ -89,11 +89,11 @@ class _View:
 
 
 class MatrixViews:
-    """One matrix's rows (checked by the caller) and the _View of them each
-    theorem core reads: the packed matrix, the column sums, the
-    complemented rows, whether those are the rows again (paired), whether
-    they are AND-closed, and the negation core's certificate. A campaign
-    builds one per non-zero family, whichever rows apply."""
+    """One matrix's rows (checked by the caller) and the _View of them that
+    at least two THEOREMS rows read: the packed matrix, the column sums,
+    the complemented matrix, whether that is AND-closed, and the negation
+    core's certificate. What one row alone reads, it builds itself. A
+    campaign builds one per non-zero family, whichever rows apply."""
 
     def __init__(self, width: int, values: tuple[int, ...]):
         self.width = width
@@ -102,7 +102,6 @@ class MatrixViews:
     m = _View(lambda self: _packed_matrix(self.width, self.values))
     sums = _View(lambda self: column_sums(self.width, self.values))
     tilde = _View(lambda self: tilde_matrix(self.m))
-    paired = _View(lambda self: set(self.tilde.row_values) == set(self.m.row_values))
     tilde_and = _View(lambda self: is_closed(self.tilde, AND))
     negation = _View(lambda self: _negation_core(self))
 
@@ -131,7 +130,7 @@ def _negation_core(views: MatrixViews) -> FranklWitness:
     """
     m = views.m
     n = m.n_rows
-    if not views.paired:
+    if set(_complemented(views.width, views.values)) != set(views.values):
         raise VerificationFailed("column-1 halves are not complements of each other")
     for j, ones in enumerate(views.sums, 1):
         if 2 * ones != n:
@@ -302,13 +301,12 @@ def _imp_implies_or_core(views: MatrixViews) -> bool:
     return direct
 
 
-def _count_flip_consistent(width: int, values: tuple[int, ...], sums: list[int]) -> bool:
+def _count_flip_consistent(width: int, values: tuple[int, ...]) -> bool:
     """Each column's ones count in the complemented rows is n minus its
-    count in the rows (sums, column 1 first), counted from the
-    complemented rows themselves."""
+    count in the rows: one column count over the rows followed by their
+    complemented rows finds exactly n ones in every column."""
     n = len(values)
-    flipped = column_sums(width, _complemented(width, values))
-    return all(f == n - s for s, f in zip(sums, flipped))
+    return column_sums(width, (*values, *_complemented(width, values))) == [n] * width
 
 
 def _half_column(views: MatrixViews) -> bool:
@@ -373,7 +371,7 @@ THEOREMS = {
         # weaker union and nonempty-intersection closure of the family.
         Theorem("topology", "topology", (AND, OR), _topology_core, _topology_gate),
         Theorem("complement_count_flip", None, (),
-                lambda v: _count_flip_consistent(v.width, v.values, v.sums)),
+                lambda v: _count_flip_consistent(v.width, v.values)),
         Theorem("union_closed_frankl", None, (OR,), _half_column),
     )
 }

@@ -464,7 +464,7 @@ def test_io_errors_exit_2_with_the_system_message(tmp_path):
 def test_unwritable_reproducer_exits_2(tmp_path, monkeypatch):
     # A failed check whose reproducer cannot be written: the dump
     # directory lies under a regular file, so making it fails.
-    monkeypatch.setattr(witnesses, "_count_flip_consistent", lambda width, values, sums: False)
+    monkeypatch.setattr(witnesses, "_count_flip_consistent", lambda width, values: False)
     dump_dir = Path(write(tmp_path, "file", "")) / "dumps"
     monkeypatch.setenv("CLOSURELAB_DUMP_DIR", str(dump_dir))
     result = invoke("campaign", "--width", "1")

@@ -52,7 +52,14 @@ from closurelab.errors import (
 from closurelab.operators import CLONE, op_name
 from closurelab.spaces import closed_under
 
-from conftest import SEMANTICS, closed_oracle, closure_oracle, matrix_tuples
+from conftest import (
+    SEMANTICS,
+    closed_oracle,
+    closure_oracle,
+    column_count_oracle,
+    matrix_tuples,
+    row_tuple,
+)
 
 
 def families(cfg):
@@ -422,9 +429,9 @@ def _no_basis(m):
 
 def _miscount_complements(width, values):
     # The exhaustive stream yields rows ascending, so complemented rows of a
-    # multi-row family come out descending: count one extra one there. The
-    # family's MatrixViews record counts its rows here, and the count flip
-    # its complemented rows.
+    # multi-row family come out descending: count one extra one wherever
+    # they are counted. The family's MatrixViews record counts its rows
+    # here, and the count flip its rows followed by their complements.
     sums = _REAL_COL_SUMS(width, values)
     return [s + 1 for s in sums] if list(values) != sorted(values) else sums
 
@@ -571,13 +578,10 @@ def test_family_code_rows_come_from_two_byte_tables():
         assert low[code & 255] + high[code >> 8] == rows, code
 
 
-@pytest.mark.parametrize("check", THEOREMS)
-def test_every_reproducer_reruns_through_its_row(check, tmp_path, monkeypatch):
-    # Each check's broken step dumps a reproducer whose "# theorem:" row,
-    # rerun on its rows, fails under the break and passes without it.
-    assert set(BROKEN_STEPS) == set(THEOREMS)
-    owner, attribute, replacement = BROKEN_STEPS[check]
-    monkeypatch.setattr(owner, attribute, replacement)
+def assert_reproducer_reruns_through_its_row(check, tmp_path, monkeypatch):
+    """The width-2 CLI campaign dumps a reproducer of check whose "# theorem:"
+    row, rerun on its rows, fails under monkeypatch's break and passes
+    once the break is undone."""
     header = assert_cli_dumps_reproducer(check, tmp_path, monkeypatch)
     m = parse_matrix(sorted(tmp_path.glob(f"repro-{check}-*.bm"))[0].read_text())
     row = THEOREMS[header["theorem"]]
@@ -589,6 +593,48 @@ def test_every_reproducer_reruns_through_its_row(check, tmp_path, monkeypatch):
     assert row.witness(m)
 
 
+@pytest.mark.parametrize("check", THEOREMS)
+def test_every_reproducer_reruns_through_its_row(check, tmp_path, monkeypatch):
+    # Each check's broken step dumps a reproducer whose "# theorem:" row,
+    # rerun on its rows, fails under the break and passes without it.
+    assert set(BROKEN_STEPS) == set(THEOREMS)
+    owner, attribute, replacement = BROKEN_STEPS[check]
+    monkeypatch.setattr(owner, attribute, replacement)
+    assert_reproducer_reruns_through_its_row(check, tmp_path, monkeypatch)
+
+
+def _leave_last_column(width, values):
+    # Every row negated except in its last column.
+    return tuple(v ^ ((1 << width) - 2) for v in values)
+
+
+def _oracle_sums(width, rows):
+    tuples = [row_tuple(r, width) for r in rows]
+    return [column_count_oracle(tuples, j) for j in range(1, width + 1)]
+
+
+def test_the_count_flip_catches_a_wrong_complement(tmp_path, monkeypatch):
+    # BROKEN_STEPS reaches the count flip through its count; here its own
+    # complement leaves one column unflipped. Intact and broken, on every
+    # family, its one-pass verdict (each column of the rows followed by
+    # their complements holds n ones) is the two-count formula's
+    # (the complements' column sums are n minus the rows').
+    for broken in (False, True):
+        if broken:
+            monkeypatch.setattr(witnesses, "_complemented", _leave_last_column)
+        verdicts = set()
+        for width, values, _ in campaign_families():
+            n = len(values)
+            flipped = _oracle_sums(width, witnesses._complemented(width, values))
+            two_counts = all(f == n - s for s, f in zip(_oracle_sums(width, values), flipped))
+            verdict = witnesses._count_flip_consistent(width, values)
+            assert verdict == two_counts, (broken, width, values)
+            verdicts.add(verdict)
+        assert verdicts == ({True, False} if broken else {True})
+    assert width_two_campaign_counts()["theorems"]["complement_count_flip"]["failed"] > 0
+    assert_reproducer_reruns_through_its_row("complement_count_flip", tmp_path, monkeypatch)
+
+
 #: The rows that each run the negation core: one family closed under NAND
 #: is closed under all three hypotheses.
 NEGATION_ROWS = {"negation_lemma", "nand_reduction", "nor_reduction"}
@@ -597,9 +643,10 @@ NEGATION_ROWS = {"negation_lemma", "nand_reduction", "nor_reduction"}
 def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
     # The runners of one family, the count flip and the half check among
     # them, share one MatrixViews record, so however many rows apply, the
-    # family's rows are counted in full at most once, its complemented rows
-    # at most once (by the count flip), and the complemented matrix is
-    # built at most once. Every binding of column_sums is watched.
+    # family's rows are counted in full at most once (the record's sums),
+    # the rows followed by their complements once (by the count flip), and
+    # the complemented matrix is built at most once. Every binding of
+    # column_sums is watched.
     counted = []  # the rows of each full count
     tilde_calls = []  # the matrix of each complemented matrix built
     packed = []  # the rows of each packed matrix the record builds (its m)
@@ -631,21 +678,26 @@ def test_each_family_counts_its_columns_and_complements_once(monkeypatch):
             packed.clear()
             runs = _theorem_runs(cfg.width, values, closed)
             assert all(runner() for _, runner in runs), values
-            rows, complemented = list(values), [v ^ mask for v in values]
+            rows = list(values)
+            joint = rows + [v ^ mask for v in values]
             counts = [list(c) for c in counted]
-            assert all(c in (rows, complemented) for c in counts), (values, counts)
-            assert counts.count(rows) <= 1 and counts.count(complemented) <= 1, values
+            assert all(c in (rows, joint) for c in counts), (values, counts)
+            # Every non-zero family, and no other, gets the count flip.
+            assert counts.count(rows) <= 1 and counts.count(joint) == any(values), values
             assert len(tilde_calls) <= 1, values
             assert len(packed) <= 1, values
             passes[cfg.width, values] = len(counted)
             names = {name for name, _ in runs}
+            if names == {"complement_count_flip"}:
+                assert rows not in counts, values  # the count flip reads no sums
             if NEGATION_ROWS <= names:
                 shared.add((cfg.mode, "negation"))
             if "material_conditional" in names:
                 shared.add((cfg.mode, "imp"))
     assert shared == {(mode, rows) for mode in ("exhaustive", "random") for rows in ("negation", "imp")}
     # {000, 111} is closed under every table: 12 full counts before the
-    # rows' sums were shared, now the rows and their complements once each.
+    # rows' sums were shared, now the rows once and the count flip's joint
+    # count of the rows and their complements once.
     assert passes[3, (0, 7)] == 2
 
 
@@ -827,6 +879,28 @@ def test_an_error_in_the_callers_stride_stops_and_joins_its_child(monkeypatch):
     with deadline(30), pytest.raises(ValueError, match="^injected in the caller$"):
         run_campaign(CampaignConfig(width=4, mode="random", sample_count=2, seed=3, parallelism=2))
     assert multiprocessing.active_children() == []
+
+
+def test_a_stride_sends_its_counts_in_chunk_order_or_its_error(monkeypatch):
+    # A child's body, run here on one end of a real pipe: a two-chunk
+    # stride sends both chunks' flat counts in order; a stride whose
+    # chunk raises sends the exception and its traceback text.
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    stride = _chunk_args(CampaignConfig(width=2, mode="exhaustive"))[3::7]
+    assert len(stride) == 2
+    enumeration._run_stride(sender, stride)
+    assert receiver.recv() == [_run_chunk(c) for c in stride]
+    def raising(args):
+        raise KeyError("injected")
+
+    monkeypatch.setattr(enumeration, "_run_chunk", raising)
+    enumeration._run_stride(sender, stride)
+    error, trace = receiver.recv()
+    assert type(error) is KeyError and error.args == ("injected",)
+    assert trace.startswith("Traceback") and "in _run_stride" in trace
+    assert trace.endswith("KeyError: 'injected'\n")
+    receiver.close()
+    sender.close()
 
 
 def test_failing_campaign_dumps_the_same_reproducers_through_the_pool(tmp_path, monkeypatch):

@@ -98,13 +98,12 @@ def test_negation_core_reports_the_first_column_off_half(monkeypatch):
 
 def test_negation_core_rejects_rows_that_are_not_their_complements():
     # The even-weight rows of width 3 hold two ones in every column, so
-    # only the pairing check (the record's cached view) can reject them.
+    # only the pairing check (the core's own complement) can reject them.
     m = parse_matrix("000\n011\n101\n110\n")
     views = MatrixViews(m.width, m.row_values)
     assert views.sums == [2, 2, 2]
     with pytest.raises(VerificationFailed, match="^column-1 halves are not complements"):
         witnesses._negation_core(views)
-    assert views.paired is False
 
 
 def test_negation_closed_families_exhaustive():
