@@ -26,6 +26,7 @@ import functools
 import json
 import random
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Iterator
@@ -239,15 +240,19 @@ def _theorem_runs(
 
 
 def _draw_samples(cfg: CampaignConfig) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Seeded (index, op_table, generator_values) triples; negation is 3."""
+    """Seeded (index, op_table, generator_values) triples; negation is 3.
+
+    Each sample draws its operator and then its generators, one
+    randrange each; all the draws run in one map over their bounds.
+    """
     rng = random.Random(cfg.seed)
-    size = 1 << cfg.width
-    samples = []
-    for i in range(cfg.sample_count):
-        op = RANDOM_OPS[rng.randrange(len(RANDOM_OPS))]
-        gens = tuple(rng.randrange(size) for _ in range(cfg.generator_count))
-        samples.append((i, op.table, gens))
-    return samples
+    bounds = [len(RANDOM_OPS), *repeat(1 << cfg.width, cfg.generator_count)]
+    draws = list(map(rng.randrange, bounds * cfg.sample_count))
+    step = len(bounds)
+    tables = [op.table for op in RANDOM_OPS]
+    ops = map(tables.__getitem__, draws[::step])
+    gens = zip(*(draws[j::step] for j in range(1, step)))
+    return list(zip(range(cfg.sample_count), ops, gens))
 
 
 def _close_sample(width: int, op_table: int, gens: tuple[int, ...]) -> tuple[int, ...]:

@@ -526,6 +526,11 @@ def test_parsed_matrix_is_interchangeable_with_a_built_one(width):
     assert parsed == built and hash(parsed) == hash(built)
     restored = pickle.loads(pickle.dumps(parsed))
     assert restored == built and hash(restored) == hash(built)
+    family = SetFamily(width, values)
+    parsed = parse_family(format_family(family))
+    assert type(parsed) is SetFamily
+    assert parsed == family and hash(parsed) == hash(family)
+    assert pickle.loads(pickle.dumps(parsed)) == family
     # The public constructor keeps every check the parser does not need.
     with pytest.raises(ValueError, match="out of range"):
         BinaryMatrix(width, values + (1 << width,))
@@ -566,3 +571,224 @@ def test_format_family_matches_the_element_reference(width):
             assert text == _reference_format_family(m)
             assert parse_family(text) == SetFamily(width, m.row_values)
     assert format_family(BinaryMatrix(width, (0,))) == f"ground {width}\n-\n"
+
+
+# --- bulk ".fam" decoding and parse_any against per-line references -----------
+
+
+def _reference_parse_family(text, source="<input>"):
+    """The one-line-at-a-time ".fam" parser that parse_family's bulk path
+    must agree with."""
+    lines = []
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            lines.append((lineno, line))
+    if not lines:
+        raise ParseError(source, 0, "no family content found")
+
+    def decimal(token):
+        digits = token[1:] if token.startswith("-") else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(token)
+        return int(token)
+
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "ground":
+        raise ParseError(source, lineno, f'expected "ground <m>" header, got {header!r}')
+    try:
+        ground = decimal(parts[1])
+    except ValueError:
+        raise ParseError(source, lineno, f"ground size {parts[1]!r} is not an integer") from None
+    if ground < 1:
+        raise ParseError(source, lineno, f"ground size must be positive, got {ground}")
+    if ground > WIDTH_CAP:
+        raise ParseError(source, lineno, f"ground size {ground} exceeds cap {WIDTH_CAP}")
+    seen = {}
+    for lineno, line in lines[1:]:
+        elements = []
+        if line != "-":
+            for token in line.split():
+                try:
+                    e = decimal(token)
+                except ValueError:
+                    raise ParseError(source, lineno, f"element {token!r} is not an integer") from None
+                if not 1 <= e <= ground:
+                    raise ParseError(source, lineno, f"element {e} outside [1, {ground}]")
+                if e in elements:
+                    raise ParseError(source, lineno, f"element {e} listed twice")
+                elements.append(e)
+        value = sum(1 << (ground - e) for e in elements)
+        if value in seen:
+            raise ParseError(source, lineno, f"duplicate member (first at line {seen[value]})")
+        seen[value] = lineno
+    if not seen:
+        raise ParseError(source, 0, "family has no members")
+    return SetFamily(ground, tuple(seen))
+
+
+def _reference_parse_any(text, source="<input>"):
+    for raw in re.split(r"\r\n|\r|\n", text):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if line.split()[:1] == ["ground"]:
+                return _reference_parse_family(text, source)
+            break
+    return _reference_parse_matrix(text, source)
+
+
+def _full_outcome(parse, text):
+    """A parse's value, or its ParseError as (ParseError, line, message)."""
+    try:
+        m = parse(text, "case")
+    except ParseError as exc:
+        return ParseError, exc.lineno, exc.message
+    return type(m), m.width, m.row_values
+
+
+def _assert_parsers_match_references(text):
+    for parse, reference in (
+        (parse_any, _reference_parse_any),
+        (parse_matrix, _reference_parse_matrix),
+        (parse_family, _reference_parse_family),
+    ):
+        assert _full_outcome(parse, text) == _full_outcome(reference, text), (parse, text)
+
+
+def _family_text(width, values):
+    return format_family(BinaryMatrix(width, tuple(values)))
+
+
+def test_parsers_match_the_references_on_seeded_families_at_every_width():
+    rng = random.Random(3434)
+    for width in range(1, WIDTH_CAP + 1):
+        for n in (1, 2, 30):
+            values = _distinct_rows(rng, width, n)
+            text = _family_text(width, values)
+            assert _full_outcome(parse_family, text) == (SetFamily, width, tuple(values))
+            for variant in (text, text[:-1], format_matrix(BinaryMatrix(width, tuple(values)))):
+                _assert_parsers_match_references(variant)
+
+
+#: Member lines of a width-12 family, each text valid or not, that the
+#: bulk ".fam" decoder must decline (or accept) exactly as the reference.
+_FAMILY_CORRUPTIONS = (
+    "01",
+    "0",
+    "+1",
+    "1_0",
+    "٣",
+    "- 1",
+    "3 -",
+    " -",
+    "1 1",
+    "1  2",
+    "1 2 ",
+    "1\t2",
+    "\t3",
+    "13",
+    "-1",
+    "--",
+    "# comment",
+    "",
+)
+
+
+@pytest.mark.parametrize("line", _FAMILY_CORRUPTIONS)
+def test_parsers_match_the_references_on_named_family_corruptions(line):
+    members = ["-", "1 2", "3", "4 12"]
+    for i in range(len(members) + 1):
+        text = "ground 12\n" + "\n".join(members[:i] + [line] + members[i:]) + "\n"
+        _assert_parsers_match_references(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ground 12\n1 2\n3\n1 2\n",  # a repeated member
+        "ground 12\n-\n3\n-\n",  # the empty member twice
+        "ground 3\r\n1\r\n2\r\n",
+        "ground 3\n1\r\n2\n",
+        "ground 3\n1\n\n2\n",
+        "ground 3\n1\n2\n\n",
+        "ground 3\n1\n# c\n2\n",
+        "ground 3\n",
+        "ground 3",
+        "ground 3\n\n",
+        "# c\nground 3\n1\n",
+        "\nground 3\n1\n",
+        "ground  3\n1\n",
+        "ground 03\n1\n",
+        "ground 65\n1\n",
+        "ground 0\n1\n",
+        "ground 64\n64 1\n",
+        "ground 3\n3 2 1\n1 3\n",
+        "ground 3\n-",
+        "ground 1\n1\n-\n",
+        "\tground 3\n1\n",
+        "ground 3 \n1\n",
+    ],
+)
+def test_parsers_match_the_references_on_named_family_texts(text):
+    _assert_parsers_match_references(text)
+
+
+def test_ragged_rows_as_long_as_whole_rows_are_rejected():
+    # Its 20 bytes are as many as five width-3 rows and their newlines
+    # take, but it has four newlines, not all where those rows would end.
+    text = "000\n0000\n11111111\n1\n"
+    assert bitcore._decode_matrix(text) is None
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(text, "r.bm")
+    assert str(exc.value) == "r.bm:2: row width 4 differs from first row width 3"
+    _assert_parsers_match_references(text)
+
+
+def test_bulk_matrix_decoder_declines_family_and_non_ascii_text():
+    fam = _family_text(9, _distinct_rows(random.Random(9), 9, 20))
+    bm = "0110\n1001\n"
+    non_ascii = "# é\n" + bm
+    assert bitcore._decode_matrix(fam) is None
+    assert bitcore._decode_matrix(non_ascii) is None
+    assert bitcore._decode_family(bm) is None
+    assert bitcore._decode_family(non_ascii) is None
+    assert parse_any(fam) == parse_family(fam) == _reference_parse_family(fam)
+    assert parse_any(non_ascii) == parse_matrix(non_ascii) == BinaryMatrix(4, (6, 9))
+    for text in (fam, non_ascii):
+        _assert_parsers_match_references(text)
+
+
+def test_plain_family_text_never_reaches_the_per_line_parsers(monkeypatch):
+    def per_line(text, source):
+        raise AssertionError("plain text went to a per-line parser")
+
+    monkeypatch.setattr(bitcore, "_parse_family_lines", per_line)
+    monkeypatch.setattr(bitcore, "_parse_matrix_lines", per_line)
+    monkeypatch.setattr(bitcore, "_significant_lines", per_line)
+    rng = random.Random(1416)
+    for width in range(1, WIDTH_CAP + 1):
+        values = _distinct_rows(rng, width, 5)
+        text = _family_text(width, values)
+        assert parse_family(text) == parse_any(text) == SetFamily(width, tuple(values))
+        assert parse_any(format_matrix(BinaryMatrix(width, tuple(values)))) == BinaryMatrix(
+            width, tuple(values)
+        )
+
+
+def _reference_bits_table(length):
+    return [format(b, "08b")[:length] for b in range(256)]
+
+
+def _reference_member_table(offset):
+    return [
+        "".join(f" {8 * offset + k + 1}" for k in range(8) if (b >> (7 - k)) & 1)
+        for b in range(256)
+    ]
+
+
+def test_doubled_tables_match_their_per_byte_definitions():
+    for length in range(1, 9):
+        assert bitcore._bits_table(length) == _reference_bits_table(length)
+    for offset in range(8):
+        assert bitcore._member_table(offset) == _reference_member_table(offset)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import signal
 import time
 import types
@@ -311,6 +312,29 @@ def test_campaign_random_families_are_closed_spaces():
             count += 1
     assert count == 60
     assert drawn == {op.table for op in RANDOM_OPS}
+
+
+
+def _randrange_draws(cfg):
+    """The seeded samples drawn one randrange at a time."""
+    rng = random.Random(cfg.seed)
+    samples = []
+    for i in range(cfg.sample_count):
+        op = RANDOM_OPS[rng.randrange(len(RANDOM_OPS))]
+        gens = tuple(rng.randrange(1 << cfg.width) for _ in range(cfg.generator_count))
+        samples.append((i, op.table, gens))
+    return samples
+
+
+@pytest.mark.parametrize("seed", [0, 7, 13, 2**40 + 1])
+def test_draws_match_a_randrange_reference(seed):
+    for width in (1, 2, 5, 8):
+        for generator_count in (1, 3, 7):
+            cfg = CampaignConfig(
+                width=width, mode="random", sample_count=60,
+                generator_count=generator_count, seed=seed,
+            )
+            assert enumeration._draw_samples(cfg) == _randrange_draws(cfg), (width, generator_count)
 
 
 def test_config_validation():

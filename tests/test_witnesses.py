@@ -250,6 +250,26 @@ def test_topology_witness_preconditions():
         THEOREMS["topology"].witness(family(3, [()]))
 
 
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        # {1, 2} & {2, 3} = {2} is missing before {1} | {3} = {1, 3} is.
+        ([(1, 2), (2, 3), (1, 2, 3), (1,), (3,)], "nonempty intersection"),
+        # {1} | {3} = {1, 3} is missing before {1, 2} & {2, 3} = {2} is.
+        ([(1,), (3,), (1, 2), (2, 3), (1, 2, 3)], "union"),
+        # A closed lattice and then {1, 3}: only {1, 2} & {1, 3} = {1} fails.
+        ([(), (2,), (1, 2), (2, 3), (1, 2, 3), (1, 3)], "nonempty intersection"),
+        # In row {1, 2}, the missing {1, 2} | {3} precedes {1, 2} & {2, 3}.
+        ([(1, 2), (3,), (2, 3)], "union"),
+    ],
+)
+def test_topology_gate_names_the_first_failing_pair(members, message):
+    with pytest.raises(PreconditionViolated) as exc:
+        THEOREMS["topology"].witness(family(3, members))
+    assert str(exc.value) == f"family is not closed under {message}"
+
+
 def test_topology_witness_random_lattices():
     rng = random.Random(71)
     for _ in range(60):
