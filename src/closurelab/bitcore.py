@@ -13,14 +13,11 @@ row:
 - parse_matrix decodes text of nothing but rows and newlines as a
   whole: a strided slice and one translate settle the characters and
   the shape, and one int(..., 2) of all rows, each left-padded to 1, 2,
-  4 or 8 bytes, becomes an array of row values.
-- parse_family decodes plain text, a "ground <m>" first line and member
-  lines of single-spaced canonical elements or "-", by summing each
-  line's element bits from a table in C; one set checks the members.
-- parse_any runs both bulk decoders before it scans for a header.
-  Text with comments, padding, CR or tabs, and text that fails a bulk
-  check, goes through the per-line loops, which alone word the
-  ParseError.
+  4 or 8 bytes, becomes an array of row values. Text with comments,
+  padding or CR, and text that fails a check, goes through the
+  per-line loop, which alone words the ParseError.
+- parse_any runs that bulk decoder before it scans for a header, so
+  plain ".bm" text is never scanned for one.
 - column_sums reads the rows as one lane integer per byte offset, one
   byte per row (up to width 8 the rows themselves, above it the byte
   offsets of _row_bytes), and counts each column as one bit_count of
@@ -31,8 +28,7 @@ row:
   summed in C. A certificate's recount thus reads only its own column.
 - format_matrix and format_family read a row's text from a table of
   strings per byte value and byte offset: at most ceil(width / 8)
-  lookups and a join per row. Each table is built on first use by
-  doubling, one bit at a time.
+  lookups and a join per row.
 """
 
 from __future__ import annotations
@@ -104,13 +100,11 @@ class BinaryMatrix:
         return any(self.row_values)
 
 
-def _packed_matrix(
-    width: int, values: tuple[int, ...], cls: type[BinaryMatrix] = BinaryMatrix
-) -> BinaryMatrix:
-    """A BinaryMatrix (or SetFamily, as cls) built without __post_init__'s
-    checks, for rows the caller has already checked: at least one,
-    distinct, each in [0, 2**width), with 1 <= width <= WIDTH_CAP."""
-    m = object.__new__(cls)
+def _packed_matrix(width: int, values: tuple[int, ...]) -> BinaryMatrix:
+    """A BinaryMatrix built without __post_init__'s checks, for rows the
+    caller has already checked: at least one, distinct, each in
+    [0, 2**width), with 1 <= width <= WIDTH_CAP."""
+    m = object.__new__(BinaryMatrix)
     object.__setattr__(m, "width", width)
     object.__setattr__(m, "row_values", values)
     return m
@@ -289,21 +283,11 @@ def _parse_matrix_lines(text: str, source: str) -> BinaryMatrix:
     return _packed_matrix(width, tuple(seen))
 
 
-def _doubling_table(bits: Iterable[tuple[str, str]]) -> list[str]:
-    """Per byte value, the texts its bits stand for, high bit first:
-    `bits` gives the (0, 1) texts of bit 7 down to bit 0. Each bit
-    doubles the table, appending its texts to every entry."""
-    table = [""]
-    for texts in bits:
-        table = [prefix + text for prefix in table for text in texts]
-    return table
-
-
 @cache
 def _bits_table(length: int) -> list[str]:
     """Per byte value, the text of its first `length` bits, high bit
     first: one byte offset's columns (see _row_bytes)."""
-    return _doubling_table([("0", "1")] * length + [("", "")] * (8 - length))
+    return [format(b, "08b")[:length] for b in range(256)]
 
 
 def format_matrix(m: BinaryMatrix) -> str:
@@ -325,61 +309,7 @@ def _decimal(token: str) -> int:
 
 def parse_family(text: str, source: str = "<input>") -> SetFamily:
     """Parse ".fam" text into a family; the ground size and the elements
-    are ASCII decimal integers.
-
-    Plain text, a "ground <m>" first line and then member lines of
-    single-spaced canonical elements or "-", is decoded in bulk by
-    _decode_family. Any other text, and text that fails one of its
-    checks, goes to _parse_family_lines, which skips comments and blank
-    lines and words the first error.
-    """
-    f = _decode_family(text)
-    return _parse_family_lines(text, source) if f is None else f
-
-
-#: Ground size per plain ".fam" header line.
-_GROUND_HEADERS = {f"ground {m}": m for m in range(1, WIDTH_CAP + 1)}
-
-
-@cache
-def _element_bits(ground: int) -> dict[str, int]:
-    """Per element's canonical decimal text, its bit in a member of a
-    family on [ground]; "-", the empty member's line, has none."""
-    return {"-": 0} | {str(e): 1 << (ground - e) for e in range(1, ground + 1)}
-
-
-def _decode_family(text: str) -> SetFamily | None:
-    """The family of plain ".fam" text, or None.
-
-    Each member line is split at single spaces and its value summed from
-    the element bits of _element_bits in C; a token missing there (a
-    comment, a blank line, CR, a tab, a leading zero, an element out of
-    range) declines the text. A value has as many set bits as its line
-    has tokens unless an element repeats or "-" is not a line alone, so
-    the tokens past the set bits must be exactly the "-" lines. One set
-    of the values then checks the members are distinct.
-    """
-    header, _, body = text.partition("\n")
-    ground = _GROUND_HEADERS.get(header)
-    if ground is None:
-        return None
-    lines = body.removesuffix("\n").split("\n")
-    tokens = map(str.split, lines, repeat(" "))
-    try:
-        values = list(map(sum, map(map, repeat(_element_bits(ground).__getitem__), tokens)))
-    except KeyError:
-        return None
-    n_tokens = body.count(" ") + len(lines)
-    if n_tokens - sum(map(int.bit_count, values)) != lines.count("-"):
-        return None
-    if len(set(values)) != len(values):
-        return None
-    return _packed_matrix(ground, tuple(values), SetFamily)
-
-
-def _parse_family_lines(text: str, source: str) -> SetFamily:
-    """Parse ".fam" text one line at a time, raising a ParseError that
-    names the first bad line."""
+    are ASCII decimal integers."""
     lines = list(_significant_lines(text))
     if not lines:
         raise ParseError(source, 0, "no family content found")
@@ -425,7 +355,10 @@ def _parse_family_lines(text: str, source: str) -> SetFamily:
 def _member_table(offset: int) -> list[str]:
     """Per byte value at byte offset `offset` (see _row_bytes), the
     elements its set bits stand for, each preceded by a space."""
-    return _doubling_table(("", f" {8 * offset + k}") for k in range(1, 9))
+    return [
+        "".join(f" {8 * offset + k + 1}" for k in range(8) if (b >> (7 - k)) & 1)
+        for b in range(256)
+    ]
 
 
 def format_family(m: BinaryMatrix) -> str:
@@ -443,19 +376,16 @@ def format_family(m: BinaryMatrix) -> str:
 def parse_any(text: str, source: str = "<input>") -> BinaryMatrix:
     """Parse text as ".fam" if it carries a ground header, else as ".bm".
 
-    The bulk decoders run first: text the ".bm" one takes has no header
-    and text the ".fam" one takes starts with one, so either agrees with
-    the header scan. Only text both decline is scanned for a header and
-    then parsed one line at a time.
+    The bulk ".bm" decoder runs first: text it takes has no header, so
+    it agrees with the header scan. Only text it declines is scanned for
+    a header and then parsed one line at a time.
     """
     m = _decode_matrix(text)
-    if m is None:
-        m = _decode_family(text)
     if m is not None:
         return m
     if "ground" in text:
         for _, line in _significant_lines(text):
             if line.split()[:1] == ["ground"]:
-                return _parse_family_lines(text, source)
+                return parse_family(text, source)
             break
     return _parse_matrix_lines(text, source)

@@ -34,8 +34,6 @@ closure is OR closure of the rows. Each certificate recounts its one column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import and_, or_
 from typing import Callable
 
 from .basis import compute_basis
@@ -183,25 +181,14 @@ def _topology_gate(m: BinaryMatrix) -> None:
     values = m.row_values
     if not (is_closed(m, OR) and closed_under(AND.table, (*values, 0), (1 << m.width) - 1)):
         # The first failing pair in member order names the failed check.
-        # Both checks are symmetric, so its row is the first whose union
-        # and intersection images with itself and the later rows are not
-        # all members (or 0), each tested in C; then only that row's
-        # pairs are scanned.
         present = set(values)
-        meets = present | {0}
-        for i, a in enumerate(values):
-            later = values[i:]
-            if not (
-                present.issuperset(map(or_, repeat(a), later))
-                and meets.issuperset(map(and_, repeat(a), later))
-            ):
-                break
-        for b in values:
-            if a | b not in present:
-                raise PreconditionViolated("family is not closed under union")
-            meet = a & b
-            if meet and meet not in present:
-                raise PreconditionViolated("family is not closed under nonempty intersection")
+        for a in values:
+            for b in values:
+                if a | b not in present:
+                    raise PreconditionViolated("family is not closed under union")
+                meet = a & b
+                if meet and meet not in present:
+                    raise PreconditionViolated("family is not closed under nonempty intersection")
     if not any(values):
         raise AllEmpty("every member is the empty set; no element exists")
 

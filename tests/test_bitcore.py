@@ -526,11 +526,6 @@ def test_parsed_matrix_is_interchangeable_with_a_built_one(width):
     assert parsed == built and hash(parsed) == hash(built)
     restored = pickle.loads(pickle.dumps(parsed))
     assert restored == built and hash(restored) == hash(built)
-    family = SetFamily(width, values)
-    parsed = parse_family(format_family(family))
-    assert type(parsed) is SetFamily
-    assert parsed == family and hash(parsed) == hash(family)
-    assert pickle.loads(pickle.dumps(parsed)) == family
     # The public constructor keeps every check the parser does not need.
     with pytest.raises(ValueError, match="out of range"):
         BinaryMatrix(width, values + (1 << width,))
@@ -573,12 +568,12 @@ def test_format_family_matches_the_element_reference(width):
     assert format_family(BinaryMatrix(width, (0,))) == f"ground {width}\n-\n"
 
 
-# --- bulk ".fam" decoding and parse_any against per-line references -----------
+# --- the parsers and parse_any against per-line references --------------------
 
 
 def _reference_parse_family(text, source="<input>"):
-    """The one-line-at-a-time ".fam" parser that parse_family's bulk path
-    must agree with."""
+    """A one-line-at-a-time ".fam" parser that parse_family and
+    parse_any must agree with."""
     lines = []
     for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), 1):
         line = raw.strip()
@@ -671,8 +666,8 @@ def test_parsers_match_the_references_on_seeded_families_at_every_width():
                 _assert_parsers_match_references(variant)
 
 
-#: Member lines of a width-12 family, each text valid or not, that the
-#: bulk ".fam" decoder must decline (or accept) exactly as the reference.
+#: Member lines of a width-12 family, each valid or not, that every
+#: parser must accept or reject exactly as the reference does.
 _FAMILY_CORRUPTIONS = (
     "01",
     "0",
@@ -747,48 +742,22 @@ def test_ragged_rows_as_long_as_whole_rows_are_rejected():
 
 def test_bulk_matrix_decoder_declines_family_and_non_ascii_text():
     fam = _family_text(9, _distinct_rows(random.Random(9), 9, 20))
-    bm = "0110\n1001\n"
-    non_ascii = "# é\n" + bm
+    non_ascii = "# é\n0110\n1001\n"
     assert bitcore._decode_matrix(fam) is None
     assert bitcore._decode_matrix(non_ascii) is None
-    assert bitcore._decode_family(bm) is None
-    assert bitcore._decode_family(non_ascii) is None
     assert parse_any(fam) == parse_family(fam) == _reference_parse_family(fam)
     assert parse_any(non_ascii) == parse_matrix(non_ascii) == BinaryMatrix(4, (6, 9))
     for text in (fam, non_ascii):
         _assert_parsers_match_references(text)
 
 
-def test_plain_family_text_never_reaches_the_per_line_parsers(monkeypatch):
-    def per_line(text, source):
+def test_plain_matrix_text_never_reaches_the_header_scan_or_the_per_line_parser(monkeypatch):
+    def per_line(text, source=None):
         raise AssertionError("plain text went to a per-line parser")
 
-    monkeypatch.setattr(bitcore, "_parse_family_lines", per_line)
     monkeypatch.setattr(bitcore, "_parse_matrix_lines", per_line)
     monkeypatch.setattr(bitcore, "_significant_lines", per_line)
     rng = random.Random(1416)
     for width in range(1, WIDTH_CAP + 1):
-        values = _distinct_rows(rng, width, 5)
-        text = _family_text(width, values)
-        assert parse_family(text) == parse_any(text) == SetFamily(width, tuple(values))
-        assert parse_any(format_matrix(BinaryMatrix(width, tuple(values)))) == BinaryMatrix(
-            width, tuple(values)
-        )
-
-
-def _reference_bits_table(length):
-    return [format(b, "08b")[:length] for b in range(256)]
-
-
-def _reference_member_table(offset):
-    return [
-        "".join(f" {8 * offset + k + 1}" for k in range(8) if (b >> (7 - k)) & 1)
-        for b in range(256)
-    ]
-
-
-def test_doubled_tables_match_their_per_byte_definitions():
-    for length in range(1, 9):
-        assert bitcore._bits_table(length) == _reference_bits_table(length)
-    for offset in range(8):
-        assert bitcore._member_table(offset) == _reference_member_table(offset)
+        m = BinaryMatrix(width, tuple(_distinct_rows(rng, width, 5)))
+        assert parse_any(format_matrix(m)) == parse_matrix(format_matrix(m)) == m
